@@ -2,15 +2,21 @@
 
 import os as _os
 
+from .config import thread_cap as _thread_cap
+from .errors import ConfigError as _ConfigError
+
 
 def _cap_threads() -> None:
     # Must run before numpy is imported anywhere, or the BLAS pools ignore it.
-    cap = _os.environ.get("POOLNET_THREADS")
-    if cap is None or not cap.isdigit() or int(cap) < 1:
+    try:
+        cap = _thread_cap()
+    except _ConfigError:
+        return  # import cannot fail; the CLI reports a bad value with exit 2
+    if cap is None:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(var, cap)
+        _os.environ.setdefault(var, str(cap))
 
 
 _cap_threads()

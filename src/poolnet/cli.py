@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (CONFIG_FIELDS, RunConfig, _parse_int_tuple, ablation_configs,
-                     build_run_config, read_config_file)
+                     build_run_config, read_config_file, thread_cap)
 from .data import load_manifest, load_map, synth_edge_dataset, synth_saliency_dataset
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .inference import predict_manifest, run_inference
@@ -308,15 +307,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_thread_env() -> None:
-    cap = os.environ.get("POOLNET_THREADS")
-    if cap is not None and (not cap.isdigit() or int(cap) < 1):
-        raise ConfigError(f"POOLNET_THREADS must be a positive integer, got {cap!r}")
-
-
 def main(argv=None) -> int:
     try:
-        _check_thread_env()
+        thread_cap()
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:

@@ -4,11 +4,15 @@ The CLI reads a plain-text ``key = value`` file (``#`` starts a comment)
 and applies flag overrides on top; unknown keys are hard errors.  The
 three enable switches for the pyramid pooling block, the guidance flows,
 and the aggregation modules span the six-row ablation matrix.
+
+This module is imported before numpy to read ``POOLNET_THREADS``, so it
+must never import numpy.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -74,6 +78,14 @@ ABLATION_ROWS = (
     (5, False, False, True),
     (6, True, True, True),
 )
+
+
+def thread_cap() -> Optional[int]:
+    """The ``POOLNET_THREADS`` cap, or None when unset; ConfigError unless a positive integer."""
+    cap = os.environ.get("POOLNET_THREADS")
+    if cap is not None and not (cap.isascii() and cap.isdigit() and int(cap) >= 1):
+        raise ConfigError(f"POOLNET_THREADS must be a positive integer, got {cap!r}")
+    return None if cap is None else int(cap)
 
 
 def ablation_configs(base: ModelConfig) -> list[tuple[int, ModelConfig]]:

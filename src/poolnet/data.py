@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 
 MANIFEST_KINDS = ("saliency", "edge")
 PAD_MULTIPLE = 16
@@ -96,6 +96,8 @@ def load_map(path) -> np.ndarray:
 
 
 def _quantize(values: np.ndarray, path) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise NumericError(f"cannot save {path}: values are not finite")
     if values.min() < 0 or values.max() > 1:
         raise DataError(f"cannot save {path}: values outside [0, 1]")
     return np.rint(values * 255.0).astype(np.uint8)
@@ -107,9 +109,10 @@ def save_map(values, path) -> None:
     if values.ndim != 2:
         raise DataError(f"cannot save {path}: map must be 2-D, got shape {values.shape}")
     h, w = values.shape
+    pixels = _quantize(values, path)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(_quantize(values, path).tobytes())
+        fh.write(pixels.tobytes())
 
 
 def save_image(values, path) -> None:
@@ -118,9 +121,10 @@ def save_image(values, path) -> None:
     if values.ndim != 3 or values.shape[0] != 3:
         raise DataError(f"cannot save {path}: image must be (3, H, W), got shape {values.shape}")
     _, h, w = values.shape
+    pixels = _quantize(values.transpose(1, 2, 0), path)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(_quantize(values.transpose(1, 2, 0), path).tobytes())
+        fh.write(pixels.tobytes())
 
 
 # ---------------------------------------------------------------------------

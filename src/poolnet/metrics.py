@@ -38,6 +38,8 @@ def _as_map(values, role: str) -> np.ndarray:
         raise ShapeError(f"{role} must be a 2-D map, got shape {arr.shape}")
     if arr.size == 0:
         raise ShapeError(f"{role} must not be empty")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{role} values must be finite")
     if arr.min() < 0 or arr.max() > 1:
         raise ValueError(f"{role} values must lie in [0, 1]")
     return arr

@@ -3,9 +3,11 @@
 Every layer the saliency models need (convolution, the pooling family,
 bilinear upsampling, pointwise activations) is implemented here as a free
 function that records its inputs and a vector-Jacobian product on the
-output tensor.  ``backward`` walks the recorded lineage once, in reverse
-topological order, and accumulates gradients into leaf tensors that were
-created with ``requires_grad=True``.
+output tensor.  The three average pools share one separable primitive,
+y = A_h x A_w^T with a dense averaging matrix per axis, and its one VJP.
+``backward`` walks the recorded lineage once, in reverse topological order,
+and accumulates gradients into leaf tensors that were created with
+``requires_grad=True``.
 
 Two precision modes exist: 64-bit (for gradient checking) and 32-bit (for
 training speed).  The mode is a process-wide default applied when tensors
@@ -188,78 +190,56 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 # pooling
 # ---------------------------------------------------------------------------
 
+def _separable(x: Tensor, a_h: np.ndarray, a_w: np.ndarray) -> Tensor:
+    """Apply ``a_h`` to the rows and ``a_w`` to the columns: y = A_h x A_w^T."""
+    out = a_h @ (x.data @ a_w.T)
+
+    def vjp(g: np.ndarray):
+        return (a_h.T @ (g @ a_w),)
+
+    return _op_output(out, (x,), vjp)
+
+
+def _pool_matrix(in_size: int, out_size: int, dtype) -> np.ndarray:
+    """(out, in) averaging matrix; bin i covers [floor(i*in/out), ceil((i+1)*in/out))."""
+    i = np.arange(out_size)[:, None]
+    lo = (i * in_size) // out_size
+    hi = ((i + 1) * in_size + out_size - 1) // out_size
+    k = np.arange(in_size)
+    return (((lo <= k) & (k < hi)) / (hi - lo)).astype(dtype)
+
+
 def avg_pool2d(x: Tensor, rate: int) -> Tensor:
     """Mean over non-overlapping rate x rate blocks; rate must divide H and W."""
     _check_rank4(x, "avg_pool2d input")
     if rate < 1:
         raise ShapeError(f"avg_pool2d: rate must be >= 1, got {rate}")
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
     if h % rate or w % rate:
         raise ShapeError(f"avg_pool2d: rate {rate} does not divide spatial size {h}x{w}")
     if rate == 1:
         return x
-    oh, ow = h // rate, w // rate
-    blocks = x.data.reshape(n, c, oh, rate, ow, rate)
-    out = blocks.mean(axis=(3, 5))
-
-    def vjp(g: np.ndarray):
-        spread = np.broadcast_to(g[:, :, :, None, :, None] / (rate * rate),
-                                 (n, c, oh, rate, ow, rate))
-        return (spread.reshape(n, c, h, w),)
-
-    return _op_output(out, (x,), vjp)
-
-
-def _adaptive_bins(in_size: int, out_size: int) -> list:
-    """Bin i covers input indices [floor(i*in/out), ceil((i+1)*in/out))."""
-    bins = []
-    for i in range(out_size):
-        lo = (i * in_size) // out_size
-        hi = ((i + 1) * in_size + out_size - 1) // out_size
-        bins.append((lo, hi))
-    return bins
+    return adaptive_avg_pool2d(x, h // rate, w // rate)
 
 
 def adaptive_avg_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Average pooling onto an out_h x out_w grid with floor/ceil bin edges.
 
-    Bins may overlap by one row/column when the sizes do not divide evenly;
-    the backward pass spreads each output gradient by 1/bin-area.
+    Bins may overlap by one row/column when the sizes do not divide evenly.
     """
     _check_rank4(x, "adaptive_avg_pool2d input")
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"adaptive_avg_pool2d: output size must be >= 1, got {out_h}x{out_w}")
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
     if out_h > h or out_w > w:
         raise ShapeError(f"adaptive_avg_pool2d: output {out_h}x{out_w} exceeds input {h}x{w}")
-    rows = _adaptive_bins(h, out_h)
-    cols = _adaptive_bins(w, out_w)
-    out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
-    for i, (r0, r1) in enumerate(rows):
-        for j, (c0, c1) in enumerate(cols):
-            out[:, :, i, j] = x.data[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
-
-    def vjp(g: np.ndarray):
-        dx = np.zeros_like(x.data)
-        for i, (r0, r1) in enumerate(rows):
-            for j, (c0, c1) in enumerate(cols):
-                area = (r1 - r0) * (c1 - c0)
-                dx[:, :, r0:r1, c0:c1] += g[:, :, i:i + 1, j:j + 1] / area
-        return (dx,)
-
-    return _op_output(out, (x,), vjp)
+    return _separable(x, _pool_matrix(h, out_h, x.dtype), _pool_matrix(w, out_w, x.dtype))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Per-channel spatial mean, returned as a 1x1 map."""
     _check_rank4(x, "global_avg_pool input")
-    n, c, h, w = x.shape
-    out = x.data.mean(axis=(2, 3), keepdims=True)
-
-    def vjp(g: np.ndarray):
-        return (np.broadcast_to(g / (h * w), x.shape).copy(),)
-
-    return _op_output(out, (x,), vjp)
+    return adaptive_avg_pool2d(x, 1, 1)
 
 
 def max_pool2d(x: Tensor, rate: int = 2) -> Tensor:

@@ -210,8 +210,10 @@ def test_criterion_4_ablation_ordering(tmp_path, capsys):
     median_ttt = float(np.median(scores["ttt"]))
     median_fff = float(np.median(scores["fff"]))
     ok = median_ttt >= median_fff
+    per_seed = {label: "/".join(f"{v:.4f}" for v in values) for label, values in scores.items()}
     report(capsys, ok, 4, f"median MaxF over 3 seeds: full {median_ttt:.4f} >= "
-                          f"baseline {median_fff:.4f}")
+                          f"baseline {median_fff:.4f} (per seed: full {per_seed['ttt']}, "
+                          f"baseline {per_seed['fff']})")
 
 
 def test_criterion_5_metric_oracles(metric_oracles, capsys):

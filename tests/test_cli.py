@@ -88,6 +88,16 @@ class TestExitCodes:
         assert main(argv) == 4
         assert "numeric error" in capsys.readouterr().err
 
+    def test_nan_weights_at_inference_are_four(self, tmp_path, sal_dir, run_dir, capsys):
+        model, state = model_from_checkpoint(run_dir / "final.ckpt")
+        model.head.weight.data[:] = np.nan
+        poisoned = tmp_path / "nan.ckpt"
+        save_model_with_config(poisoned, model, state)
+        assert main(["infer", "--checkpoint", str(poisoned),
+                     "--manifest", str(sal_dir / "manifest.tsv"),
+                     "--output-dir", str(tmp_path / "out")]) == 4
+        assert "numeric error" in capsys.readouterr().err
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["train", "--learning-rate", "0.1"])

@@ -1,4 +1,9 @@
-"""Configuration dataclasses, the ablation matrix, and key=value files."""
+"""Configuration dataclasses, the ablation matrix, key=value files, and the
+thread cap."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +16,7 @@ from poolnet.config import (
     ablation_configs,
     build_run_config,
     read_config_file,
+    thread_cap,
 )
 from poolnet.errors import ConfigError
 
@@ -187,3 +193,26 @@ class TestBuildRunConfig:
     def test_validation_runs_on_result(self):
         with pytest.raises(ConfigError):
             build_run_config(overrides={"fam_rates": (3, 2)})
+
+
+class TestThreadCap:
+    def test_unset_is_none(self, monkeypatch):
+        monkeypatch.delenv("POOLNET_THREADS", raising=False)
+        assert thread_cap() is None
+
+    def test_positive_integer(self, monkeypatch):
+        monkeypatch.setenv("POOLNET_THREADS", "3")
+        assert thread_cap() == 3
+
+    @pytest.mark.parametrize("value", ["-3", "0", "", "two", "2.0", "\u00b2"])
+    def test_invalid_values_raise(self, monkeypatch, value):
+        monkeypatch.setenv("POOLNET_THREADS", value)
+        with pytest.raises(ConfigError, match="POOLNET_THREADS"):
+            thread_cap()
+
+    def test_import_ignores_invalid_value(self):
+        # a superscript digit passes str.isdigit but not int()
+        env = dict(os.environ, POOLNET_THREADS="\u00b2")
+        done = subprocess.run([sys.executable, "-c", "import poolnet"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr

@@ -19,7 +19,7 @@ from poolnet.data import (
     synth_saliency_sample,
     write_manifest,
 )
-from poolnet.errors import DataError
+from poolnet.errors import DataError, NumericError
 
 # P5, 3x2, maxval 255, rows (0, 128, 255) and (10, 20, 30)
 PGM_FIXTURE = b"P5\n3 2\n255\n" + bytes([0, 128, 255, 10, 20, 30])
@@ -105,6 +105,18 @@ class TestPnmWrite:
     def test_out_of_range_values_rejected(self, tmp_path):
         with pytest.raises(DataError):
             save_map(np.full((2, 2), 1.2), tmp_path / "m.pgm")
+
+    @pytest.mark.parametrize("save,values,error", [
+        (save_map, np.full((4, 4), 2.0), DataError),
+        (save_map, np.full((4, 4), np.nan), NumericError),
+        (save_image, np.full((3, 4, 4), -1.0), DataError),
+        (save_image, np.full((3, 4, 4), np.inf), NumericError),
+    ])
+    def test_rejected_values_leave_no_file(self, tmp_path, save, values, error):
+        path = tmp_path / "out.pnm"
+        with pytest.raises(error):
+            save(values, path)
+        assert not path.exists()
 
     def test_wrong_rank_rejected(self, tmp_path):
         with pytest.raises(DataError):

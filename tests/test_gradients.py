@@ -65,15 +65,19 @@ class TestOpGradients:
         gradcheck(lambda lv: scalarize(conv2d(lv["x"], lv["w"]), weights), leaves, rng)
 
     def test_avg_pool(self, rng, gradcheck, scalarize):
-        leaves = {"x": leaf(rng, (1, 2, 8, 8))}
-        weights = rng.normal(size=(1, 2, 4, 4))
-        gradcheck(lambda lv: scalarize(avg_pool2d(lv["x"], 2), weights), leaves, rng)
+        for h, w in ((8, 8), (4, 8)):
+            leaves = {"x": leaf(rng, (1, 2, h, w))}
+            weights = rng.normal(size=(1, 2, h // 2, w // 2))
+            gradcheck(lambda lv: scalarize(avg_pool2d(lv["x"], 2), weights), leaves, rng)
 
     def test_adaptive_avg_pool_overlapping_bins(self, rng, gradcheck, scalarize):
-        # 5 -> 3 produces overlapping windows; gradients accumulate across bins
-        leaves = {"x": leaf(rng, (1, 2, 5, 5))}
-        weights = rng.normal(size=(1, 2, 3, 3))
-        gradcheck(lambda lv: scalarize(adaptive_avg_pool2d(lv["x"], 3, 3), weights), leaves, rng)
+        # 5 -> 3 and 7 -> 2 produce overlapping windows; gradients accumulate
+        # across bins.  The rectangular case fails if rows and columns swap.
+        for (h, w), (out_h, out_w) in (((5, 5), (3, 3)), ((5, 7), (3, 2))):
+            leaves = {"x": leaf(rng, (1, 2, h, w))}
+            weights = rng.normal(size=(1, 2, out_h, out_w))
+            gradcheck(lambda lv: scalarize(adaptive_avg_pool2d(lv["x"], out_h, out_w), weights),
+                      leaves, rng)
 
     def test_global_avg_pool(self, rng, gradcheck, scalarize):
         leaves = {"x": leaf(rng, (2, 3, 4, 4))}

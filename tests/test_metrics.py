@@ -70,6 +70,13 @@ class TestMae:
         with pytest.raises(ValueError):
             mae(np.full((2, 2), 1.5), np.zeros((2, 2)))
 
+    def test_non_finite_map_raises(self):
+        nan_map = np.full((2, 2), np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            mae(nan_map, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            pr_sweep([(nan_map, np.zeros((2, 2)))])
+
     def test_non_2d_raises(self):
         with pytest.raises(ShapeError):
             mae(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))

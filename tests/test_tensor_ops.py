@@ -142,15 +142,24 @@ class TestAdaptiveAvgPool:
     def test_bins_five_to_three(self):
         assert self.reference_bins(5, 3) == [(0, 2), (1, 4), (3, 5)]
 
-    @pytest.mark.parametrize("in_size,out_size", [(5, 3), (7, 3), (8, 5), (9, 2), (6, 6), (13, 4)])
+    # an int is a square size; an (h, w) pair is rectangular
+    @pytest.mark.parametrize("in_size,out_size", [
+        (5, 3), (7, 3), (8, 5), (9, 2), (6, 6), (13, 4),
+        pytest.param((5, 7), (3, 2), id="5x7-3x2"),
+        pytest.param((19, 25), (3, 3), id="19x25-3x3"),
+        pytest.param((19, 25), (5, 5), id="19x25-5x5"),
+    ])
     def test_matches_reference_bins(self, in_size, out_size):
-        rng = np.random.default_rng(in_size * 31 + out_size)
-        x = rng.normal(size=(1, 2, in_size, in_size))
-        out = adaptive_avg_pool2d(t(x), out_size, out_size)
-        rows = self.reference_bins(in_size, out_size)
-        expected = np.empty((1, 2, out_size, out_size))
+        h, w = np.broadcast_to(in_size, 2)
+        out_h, out_w = np.broadcast_to(out_size, 2)
+        rng = np.random.default_rng(h * 31 + out_h)
+        x = rng.normal(size=(1, 2, h, w))
+        out = adaptive_avg_pool2d(t(x), out_h, out_w)
+        rows = self.reference_bins(h, out_h)
+        cols = self.reference_bins(w, out_w)
+        expected = np.empty((1, 2, out_h, out_w))
         for i, (r0, r1) in enumerate(rows):
-            for j, (c0, c1) in enumerate(rows):
+            for j, (c0, c1) in enumerate(cols):
                 expected[:, :, i, j] = x[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
         assert np.allclose(out.data, expected, atol=1e-12)
 
