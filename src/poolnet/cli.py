@@ -18,7 +18,7 @@ import numpy as np
 from .config import (CONFIG_FIELDS, RunConfig, _parse_int_tuple, ablation_configs,
                      build_run_config, read_config_file, thread_cap)
 from .data import load_manifest, load_map, synth_edge_dataset, synth_saliency_dataset
-from .errors import CheckpointError, ConfigError, DataError, NumericError
+from .errors import CheckpointError, ConfigError, DataError, NumericError, ShapeError
 from .inference import predict_manifest, run_inference
 from .metrics import evaluate_pairs, write_metrics_csv
 from .model import build_model, model_from_checkpoint
@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, CheckpointError) as exc:
+    except (DataError, CheckpointError, ShapeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

@@ -13,7 +13,7 @@ sharpen the result:
 An optional edge branch taps the three shallow fusion levels, supervises
 boundary maps, and widens the saliency head with its features.  All outputs
 are logits at the input resolution; inputs must be RGB with height and width
-divisible by 16.
+divisible by 16 and, with pyramid pooling on, at least 16 * max(ppm_sizes).
 """
 
 from __future__ import annotations
@@ -256,6 +256,13 @@ class SaliencyNet(Module):
         _, _, h, w = x.shape
         if h % 16 or w % 16:
             raise ShapeError(f"model input size {h}x{w} must be divisible by 16")
+        if self.config.enable_ppm:
+            # the deepest map (stride 16) must hold the largest pooling grid
+            low = 16 * max(self.config.ppm_sizes)
+            if min(h, w) < low:
+                raise ShapeError(f"model input size {h}x{w} is below the {low}x{low} minimum "
+                                 f"for ppm_sizes {self.config.ppm_sizes}; use larger images "
+                                 f"or smaller ppm_sizes")
 
         feats = self.backbone(x)
         if self.config.enable_ppm:

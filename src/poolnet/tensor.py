@@ -3,8 +3,12 @@
 Every layer the saliency models need (convolution, the pooling family,
 bilinear upsampling, pointwise activations) is implemented here as a free
 function that records its inputs and a vector-Jacobian product on the
-output tensor.  The three average pools share one separable primitive,
-y = A_h x A_w^T with a dense averaging matrix per axis, and its one VJP.
+output tensor.  ``conv2d`` has one im2col layout, a (c*kh*kw, n*oh*ow) patch
+matrix, read by three GEMMs (output, d_weight, d_input).  Each GEMM reduces
+in the same (c, kh, kw) or out_c order as a sliding-window ``tensordot``
+does, so float32 training results keep that form's rounding.  The three
+average pools share one separable primitive, y = A_h x A_w^T with a dense
+averaging matrix per axis, and its one VJP.
 ``backward`` walks the recorded lineage once, in reverse topological order,
 and accumulates gradients into leaf tensors that were created with
 ``requires_grad=True``.
@@ -20,7 +24,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -140,7 +143,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     """Cross-correlate ``x`` with ``weight`` (out_c, in_c, k, k).
 
     Output spatial size is floor((H + 2*padding - k) / stride) + 1.  The
-    backward pass fills gradients for the input, the weight, and the bias.
+    backward pass fills gradients for the weight and the bias, and for the
+    input when it requires grad or has lineage.
     """
     _check_rank4(x, "conv2d input")
     _check_rank4(weight, "conv2d weight")
@@ -163,27 +167,53 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.data
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    out = np.tensordot(windows, weight.data, axes=((1, 4, 5), (1, 2, 3)))  # (n, oh, ow, out_c)
-    out = np.moveaxis(out, 3, 1)
+    out = np.dot(_im2col(xp, kh, kw, oh, ow, stride).T,
+                 weight.data.transpose(1, 2, 3, 0).reshape(-1, out_c))
+    out = np.moveaxis(out.reshape(n, oh, ow, out_c), 3, 1)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
+    # decided at record time: an input with no lineage, such as the image,
+    # needs no d_x
+    need_dx = x.requires_grad or x._vjp is not None
 
     def vjp(g: np.ndarray):
-        d_weight = np.tensordot(g, windows, axes=((0, 2, 3), (0, 2, 3)))
-        d_cols = np.tensordot(g, weight.data, axes=((1,), (0,)))  # (n, oh, ow, c, kh, kw)
-        d_cols = np.moveaxis(d_cols, 3, 1)  # (n, c, oh, ow, kh, kw)
-        d_xp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                d_xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d_cols[..., i, j]
-        d_x = d_xp[:, :, padding:padding + h, padding:padding + w] if padding else d_xp
+        # rebuilt rather than kept from the forward: every layer's patch
+        # matrix held until backward would dominate peak memory
+        d_weight = np.dot(g.transpose(1, 0, 2, 3).reshape(out_c, -1),
+                          _im2col(xp, kh, kw, oh, ow, stride).T).reshape(weight.shape)
+        d_x = None
+        if need_dx:
+            d_cols = np.dot(weight.data.reshape(out_c, -1).T,
+                            g.transpose(0, 2, 3, 1).reshape(-1, out_c).T)
+            d_cols = d_cols.reshape(c, kh, kw, n, oh, ow)
+            d_xp = np.zeros((c, n) + xp.shape[2:], dtype=xp.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    d_xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d_cols[:, i, j]
+            d_x = d_xp.transpose(1, 0, 2, 3)
+            if padding:
+                d_x = d_x[:, :, padding:padding + h, padding:padding + w]
         if bias is not None:
             return d_x, d_weight, g.sum(axis=(0, 2, 3))
         return d_x, d_weight
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _op_output(out, parents, vjp)
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int) -> np.ndarray:
+    """Patch matrix of padded ``xp``: C-contiguous (c*kh*kw, n*oh*ow).
+
+    Row (ci, i, j) holds input channel ci shifted by kernel tap (i, j), so a
+    GEMM over it reduces in the same (c, kh, kw) order as the weight layout.
+    """
+    n, c = xp.shape[:2]
+    cols = np.empty((c, kh, kw, n, oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, :, i:i + stride * oh:stride,
+                               j:j + stride * ow:stride].transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, n * oh * ow)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Shared fixtures: finite-difference gradient checking and brute-force
-metric oracles.
+"""Shared fixtures: finite-difference gradient checking, a reference
+convolution and brute-force metric oracles.
 
 The oracles here are deliberately naive (python loops, explicit confusion
 counts) and independent of the library's vectorized implementations; tests
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from poolnet.tensor import Tensor, backward, mul, no_grad, reduce_sum
 
@@ -93,6 +94,39 @@ def gradcheck():
 @pytest.fixture
 def scalarize():
     return weighted_sum
+
+
+# ---------------------------------------------------------------------------
+# reference convolution
+# ---------------------------------------------------------------------------
+
+
+def reference_conv2d(x, w, b, stride, padding, g):
+    """Cross-correlation and its gradients, written on a strided window view
+    and ``tensordot`` instead of a patch matrix.
+
+    Returns (out, d_x, d_w, d_b) for output gradient ``g``.
+    """
+    n, c, h, width = x.shape
+    _, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = windows.shape[2:4]
+    out = np.moveaxis(np.tensordot(windows, w, axes=((1, 4, 5), (1, 2, 3))), 3, 1)
+    out = out + b[None, :, None, None]
+    d_w = np.tensordot(g, windows, axes=((0, 2, 3), (0, 2, 3)))
+    d_cols = np.moveaxis(np.tensordot(g, w, axes=((1,), (0,))), 3, 1)  # (n, c, oh, ow, kh, kw)
+    d_xp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            d_xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d_cols[..., i, j]
+    d_x = d_xp[:, :, padding:padding + h, padding:padding + width]
+    return out, d_x, d_w, g.sum(axis=(0, 2, 3))
+
+
+@pytest.fixture
+def conv_reference():
+    return reference_conv2d
 
 
 # ---------------------------------------------------------------------------

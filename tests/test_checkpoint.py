@@ -68,6 +68,23 @@ class TestContainerFormat:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_name_that_is_not_utf8_raises(self, tmp_path):
+        path = tmp_path / "name.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", 2) + b"\xff\xfe"
+                         + struct.pack("<II", 1, 1) + np.zeros(1, dtype="<f4").tobytes())
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "final.ckpt"
+        save_checkpoint(path, {"w": np.arange(3, dtype=np.float32)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_checkpoint(path, {"w": np.zeros(2, dtype=np.float32),
+                                   "bad": np.array(["not a number"])})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["final.ckpt"]
+
     def test_float64_payloads_are_stored_as_float32(self, tmp_path):
         path = tmp_path / "f64.ckpt"
         save_checkpoint(path, {"w": np.array([0.1], dtype=np.float64)})

@@ -77,6 +77,27 @@ class TestExitCodes:
                      "--output-dir", str(tmp_path)]) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_checkpoint_name_not_utf8_is_three(self, tmp_path, sal_dir, run_dir, capsys):
+        blob = (run_dir / "final.ckpt").read_bytes()
+        # the first record's name starts after the magic and its u32 length
+        bad = tmp_path / "name.ckpt"
+        bad.write_bytes(blob[:9] + b"\xff\xfe" + blob[11:])
+        assert main(["infer", "--checkpoint", str(bad),
+                     "--manifest", str(sal_dir / "manifest.tsv"),
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_quick_start_below_minimum_size_is_three(self, tmp_path, capsys):
+        data = tmp_path / "sal"
+        assert main(["synth", "--kind", "saliency", "--count", "2", "--size", "64",
+                     "--seed", "0", "--output-dir", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--saliency-manifest", str(data / "manifest.tsv"),
+                     "--output-dir", str(tmp_path / "run"), *QUICK_TRAIN]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("data error:") and "80x80 minimum" in err
+
     def test_poisoned_weights_are_four(self, tmp_path, sal_dir, run_dir, capsys):
         model, state = model_from_checkpoint(run_dir / "final.ckpt")
         model.head.weight.data[:] = np.inf

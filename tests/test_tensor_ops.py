@@ -108,6 +108,47 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             conv2d(t(np.zeros((1, 1, 4, 4))), t(np.zeros((2, 1, 3, 3))), bias=t([1.0]))
 
+    @pytest.mark.parametrize("n, h, w, k, stride, padding", [
+        (1, 5, 7, 3, 1, 1),
+        (2, 5, 7, 3, 2, 1),
+        (2, 5, 7, 3, 1, 0),
+        (1, 5, 7, 1, 1, 0),
+        (2, 5, 7, 1, 2, 0),
+        (1, 6, 6, 3, 2, 0),
+        (1, 2, 2, 3, 1, 1),
+        (2, 1, 1, 3, 1, 1),
+        (1, 1, 1, 1, 1, 0),
+    ])
+    def test_matches_reference(self, conv_reference, n, h, w, k, stride, padding):
+        rng = np.random.default_rng(h * 100 + w * 10 + k + stride + padding)
+        x = t(rng.standard_normal((n, 3, h, w)), requires_grad=True)
+        weight = t(rng.standard_normal((4, 3, k, k)), requires_grad=True)
+        bias = t(rng.standard_normal(4), requires_grad=True)
+        out = conv2d(x, weight, bias, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        d_x, d_w, d_b = out._vjp(g)
+        expected = conv_reference(x.data, weight.data, bias.data, stride, padding, g)
+        for got, want in zip((out.data, d_x, d_w, d_b), expected):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_input_without_lineage_gets_no_gradient(self):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((1, 2, 6, 5))
+        weight = t(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        g = rng.standard_normal((1, 3, 6, 5))
+        grads = {}
+        for needs_grad in (True, False):
+            x = t(data, requires_grad=needs_grad)
+            out = conv2d(x, weight, padding=1)
+            d_x = out._vjp(g)[0]
+            assert (d_x is not None) == needs_grad
+            weight.zero_grad()
+            backward(reduce_sum(mul(out, t(g))))
+            assert (x.grad is not None) == needs_grad
+            grads[needs_grad] = weight.grad
+        assert np.array_equal(grads[True], grads[False])
+
 
 class TestAvgPool:
     def test_rate_two_mean(self):
