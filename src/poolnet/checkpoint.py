@@ -9,12 +9,13 @@ can resume from the same file; model loading skips them.
 
 from __future__ import annotations
 
-import os
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .data import atomic_open
 from .errors import CheckpointError
 from .nn import Module
 
@@ -25,26 +26,19 @@ STATE_PREFIX = "_state/"
 def save_checkpoint(path, records: dict[str, np.ndarray]) -> None:
     """Write named arrays in dict order; payloads are cast to float32.
 
-    The file is written beside ``path`` and renamed over it, so ``path`` is
-    either the old file or the complete new one, never a torn write.
+    ``path`` is either the old file or the complete new one, never a torn
+    write (see ``data.atomic_open``).
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            for name, arr in records.items():
-                arr = np.ascontiguousarray(arr, dtype="<f4")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<I", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        for name, arr in records.items():
+            arr = np.ascontiguousarray(arr, dtype="<f4")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<I", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
@@ -72,7 +66,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise CheckpointError(f"{path}: record name is not valid UTF-8") from exc
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        count = int(np.prod(dims, dtype=np.int64)) if dims else 1
+        count = math.prod(dims)
         payload = take(4 * count)
         if name in records:
             raise CheckpointError(f"{path}: duplicate record {name!r}")

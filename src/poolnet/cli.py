@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import (CONFIG_FIELDS, RunConfig, _parse_int_tuple, ablation_configs,
                      build_run_config, read_config_file, thread_cap)
-from .data import load_manifest, load_map, synth_edge_dataset, synth_saliency_dataset
+from .data import (atomic_open, load_manifest, load_map, synth_edge_dataset,
+                   synth_saliency_dataset)
 from .errors import CheckpointError, ConfigError, DataError, NumericError, ShapeError
 from .inference import predict_manifest, run_inference
 from .metrics import evaluate_pairs, write_metrics_csv
@@ -261,7 +262,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
               f"max_f={record.max_f:.4f} mae={record.mae:.4f}")
     run.output_dir.mkdir(parents=True, exist_ok=True)
     table = run.output_dir / "ablation.csv"
-    with open(table, "w", newline="") as fh:
+    with atomic_open(table, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "ppm", "ggf", "fam", "max_f", "mae"])
         for row_number, ppm, ggf, fam, best_f, err in rows:

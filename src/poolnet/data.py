@@ -11,8 +11,11 @@ is always the same arrays, no matter how many samples are drawn around it.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -20,6 +23,30 @@ from .errors import DataError, NumericError
 
 MANIFEST_KINDS = ("saliency", "edge")
 PAD_MULTIPLE = 16
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def atomic_open(path, mode: str, **kwargs) -> Iterator:
+    """Open a hidden temporary file beside ``path``; rename it over ``path``
+    once the block completes, or delete it if the block raises.
+
+    ``path`` is thus either the old file or the complete new one, never a
+    torn write.  There is no fsync: this guards against a crashed process,
+    not against power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +137,7 @@ def save_map(values, path) -> None:
         raise DataError(f"cannot save {path}: map must be 2-D, got shape {values.shape}")
     h, w = values.shape
     pixels = _quantize(values, path)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
 
@@ -122,7 +149,7 @@ def save_image(values, path) -> None:
         raise DataError(f"cannot save {path}: image must be (3, H, W), got shape {values.shape}")
     _, h, w = values.shape
     pixels = _quantize(values.transpose(1, 2, 0), path)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
 
@@ -184,8 +211,12 @@ def load_manifest(path, kind: str) -> Manifest:
     if not path.is_file():
         raise DataError(f"manifest not found: {path}")
     root = path.parent
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: manifest is not valid UTF-8 text") from exc
     entries = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -207,7 +238,8 @@ def write_manifest(path, entries) -> None:
     """Write (image, gt) path pairs relative to the manifest directory."""
     path = Path(path)
     lines = [f"{img}\t{gt}" for img, gt in entries]
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_entry(manifest: Manifest, index: int) -> Sample:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .data import atomic_open
 from .errors import ShapeError
 
 BETA2 = 0.3
@@ -79,10 +79,9 @@ def pr_sweep(pairs) -> PRCurve:
         if s.shape != g.shape:
             raise ShapeError(f"map shapes differ: {s.shape} vs {g.shape}")
         gt = (g >= 0.5).reshape(-1)
-        flat = s.reshape(-1)
-        predicted = flat[None, :] >= thresholds[:, None]
-        predicted_count = predicted.sum(axis=1)
-        true_positives = (predicted & gt[None, :]).sum(axis=1)
+        bins = np.searchsorted(thresholds, s.reshape(-1), side="right")
+        predicted_count = _count_at_or_above(bins)
+        true_positives = _count_at_or_above(bins[gt])
         precision_sum += np.where(predicted_count > 0,
                                   true_positives / np.maximum(predicted_count, 1), 1.0)
         gt_count = int(gt.sum())
@@ -97,6 +96,16 @@ def pr_sweep(pairs) -> PRCurve:
                    precision=precision_sum / n_images,
                    recall=recall,
                    empty_gt_count=empty_gt)
+
+
+def _count_at_or_above(bins: np.ndarray) -> np.ndarray:
+    """Per threshold k, how many pixels have s >= thresholds[k].
+
+    ``bins`` holds each pixel's count of thresholds <= s, so s >= thresholds[k]
+    exactly when its bin is at least k + 1: a reverse cumulative histogram.
+    """
+    hist = np.bincount(bins, minlength=N_THRESHOLDS + 1)
+    return np.cumsum(hist[::-1])[-2::-1]
 
 
 def max_f(curve: PRCurve, beta2: float = BETA2) -> float:
@@ -125,8 +134,7 @@ def evaluate_pairs(pairs) -> MetricsRecord:
 
 def write_metrics_csv(record: MetricsRecord, path) -> None:
     """One summary row, then one row per threshold."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["max_f", "mae", "empty_gt_count"])
         writer.writerow([f"{record.max_f:.6f}", f"{record.mae:.6f}",

@@ -3,10 +3,10 @@
 Every layer the saliency models need (convolution, the pooling family,
 bilinear upsampling, pointwise activations) is implemented here as a free
 function that records its inputs and a vector-Jacobian product on the
-output tensor.  ``conv2d`` has one im2col layout, a (c*kh*kw, n*oh*ow) patch
-matrix, read by three GEMMs (output, d_weight, d_input).  Each GEMM reduces
-in the same (c, kh, kw) or out_c order as a sliding-window ``tensordot``
-does, so float32 training results keep that form's rounding.  The three
+output tensor.  ``conv2d`` works in one channel-major layout: a
+(c*kh*kw, n*oh*ow) patch matrix, W (out_c, c*kh*kw) times it gives the
+(out_c, n*oh*ow) output, and the output gradient in that same layout feeds
+both d_weight and d_input, so at batch 1 no operand is transposed.  The three
 average pools share one separable primitive, y = A_h x A_w^T with a dense
 averaging matrix per axis, and its one VJP.
 ``backward`` walks the recorded lineage once, in reverse topological order,
@@ -167,11 +167,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.data
-    out = np.dot(_im2col(xp, kh, kw, oh, ow, stride).T,
-                 weight.data.transpose(1, 2, 3, 0).reshape(-1, out_c))
-    out = np.moveaxis(out.reshape(n, oh, ow, out_c), 3, 1)
+    w2 = weight.data.reshape(out_c, -1)
+    out = np.dot(w2, _im2col(xp, kh, kw, oh, ow, stride)).reshape(out_c, n, oh, ow)
     if bias is not None:
-        out = out + bias.data[None, :, None, None]
+        out += bias.data[:, None, None, None]
     # decided at record time: an input with no lineage, such as the image,
     # needs no d_x
     need_dx = x.requires_grad or x._vjp is not None
@@ -179,13 +178,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     def vjp(g: np.ndarray):
         # rebuilt rather than kept from the forward: every layer's patch
         # matrix held until backward would dominate peak memory
-        d_weight = np.dot(g.transpose(1, 0, 2, 3).reshape(out_c, -1),
-                          _im2col(xp, kh, kw, oh, ow, stride).T).reshape(weight.shape)
+        g2 = g.transpose(1, 0, 2, 3).reshape(out_c, -1)
+        d_weight = np.dot(g2, _im2col(xp, kh, kw, oh, ow, stride).T).reshape(weight.shape)
         d_x = None
         if need_dx:
-            d_cols = np.dot(weight.data.reshape(out_c, -1).T,
-                            g.transpose(0, 2, 3, 1).reshape(-1, out_c).T)
-            d_cols = d_cols.reshape(c, kh, kw, n, oh, ow)
+            d_cols = np.dot(w2.T, g2).reshape(c, kh, kw, n, oh, ow)
             d_xp = np.zeros((c, n) + xp.shape[2:], dtype=xp.dtype)
             for i in range(kh):
                 for j in range(kw):
@@ -198,7 +195,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         return d_x, d_weight
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _op_output(out, parents, vjp)
+    return _op_output(out.transpose(1, 0, 2, 3), parents, vjp)
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .config import TrainConfig
-from .data import Manifest, Sample, load_entry, pad_to_multiple
+from .data import Manifest, Sample, atomic_open, load_entry, pad_to_multiple
 from .errors import ConfigError, DataError, NumericError
 from .losses import balanced_bce_with_logits, bce_with_logits
 from .model import SaliencyNet, save_model_with_config
@@ -194,7 +194,7 @@ def _save(path: Path, model: SaliencyNet, optimizer: Adam, epoch: int) -> None:
 
 
 def write_train_log(path, records) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "step", "loss_type", "loss_value", "lr"])
         for r in records:

@@ -75,6 +75,14 @@ class TestContainerFormat:
         with pytest.raises(CheckpointError, match="UTF-8"):
             load_checkpoint(path)
 
+    def test_dims_whose_product_overflows_raise(self, tmp_path):
+        # 65536**4 == 2**64 wraps to 0 in int64 arithmetic
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", 1) + b"w"
+                         + struct.pack("<5I", 4, 65536, 65536, 65536, 65536))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
     def test_failed_save_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "final.ckpt"
         save_checkpoint(path, {"w": np.arange(3, dtype=np.float32)})

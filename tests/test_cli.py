@@ -2,6 +2,7 @@
 and help text."""
 
 import csv
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,37 @@ class TestExitCodes:
                      "--manifest", str(sal_dir / "manifest.tsv"),
                      "--output-dir", str(tmp_path / "out")]) == 3
         assert "UTF-8" in capsys.readouterr().err
+
+    def test_checkpoint_dims_overflow_is_three(self, tmp_path, sal_dir, capsys):
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(b"PNLB1" + struct.pack("<I", 1) + b"w"
+                        + struct.pack("<5I", 4, 65536, 65536, 65536, 65536))
+        assert main(["infer", "--checkpoint", str(bad),
+                     "--manifest", str(sal_dir / "manifest.tsv"),
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        assert "truncated" in capsys.readouterr().err
+
+    def test_config_not_utf8_is_two(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"epochs = 1 # \xe9poques\n")
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "run.cfg" in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("command", ["train", "infer", "eval"])
+    def test_manifest_not_utf8_is_three(self, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes(b"img\xff.ppm\tgt.pgm\n")
+        argv = {
+            "train": ["train", "--saliency-manifest", str(manifest),
+                      "--output-dir", str(tmp_path / "run")],
+            "infer": ["infer", "--checkpoint", str(tmp_path / "unread.ckpt"),
+                      "--manifest", str(manifest), "--output-dir", str(tmp_path / "out")],
+            "eval": ["eval", "--manifest", str(manifest), "--pred-dir", str(tmp_path)],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "manifest.tsv" in err and "UTF-8" in err
 
     def test_quick_start_below_minimum_size_is_three(self, tmp_path, capsys):
         data = tmp_path / "sal"

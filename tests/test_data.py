@@ -1,8 +1,12 @@
 """Image files, manifests, padding, and the synthetic dataset generators."""
 
+import builtins
+import errno
+
 import numpy as np
 import pytest
 
+import poolnet.data as data_mod
 from poolnet.data import (
     Sample,
     crop_to_original,
@@ -118,6 +122,36 @@ class TestPnmWrite:
             save(values, path)
         assert not path.exists()
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.pgm"
+        save_map(np.zeros((4, 4)), path)
+        before = path.read_bytes()
+
+        class FullDisk:
+            """A file that takes its first write, then fails as a full disk does."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh = builtins.open(*args, **kwargs)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(chunk)
+
+        monkeypatch.setattr(data_mod, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_map(np.ones((4, 4)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.pgm"]
+
     def test_wrong_rank_rejected(self, tmp_path):
         with pytest.raises(DataError):
             save_map(np.zeros((1, 2, 2)), tmp_path / "m.pgm")
@@ -176,6 +210,12 @@ class TestManifests:
         (tmp_path / "manifest.tsv").write_text("only-one-column\n")
         with pytest.raises(DataError):
             load_manifest(tmp_path / "manifest.tsv", "saliency")
+
+    def test_manifest_not_utf8_raises(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_bytes(b"img\xff.ppm\tgt.pgm\n")
+        with pytest.raises(DataError, match="manifest.tsv.*UTF-8"):
+            load_manifest(path, "saliency")
 
     def test_empty_manifest_raises(self, tmp_path):
         (tmp_path / "manifest.tsv").write_text("\n\n")

@@ -225,3 +225,17 @@ class TestMetricsCsv:
         assert len(rows) == 3 + 256
         assert float(rows[3][0]) == 0.0
         assert float(rows[-1][0]) == 1.0
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        rng = np.random.default_rng(37)
+        record = evaluate_pairs([random_pair(rng)])
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(record, path)
+        before = path.read_bytes()
+        # the last curve point cannot be formatted, so the write fails midway
+        record.pr_curve.precision = record.pr_curve.precision.astype(object)
+        record.pr_curve.precision[-1] = None
+        with pytest.raises(TypeError):
+            write_metrics_csv(record, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
