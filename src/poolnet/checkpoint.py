@@ -2,9 +2,10 @@
 
 Layout: the magic string ``PNLB1`` followed by one record per array.  A
 record is a little-endian u32 name length, the UTF-8 name, a u32 rank,
-``rank`` u32 dims, then the float32 payload in C order.  Reserved names
-under ``_state/`` carry optimizer and progress counters so a training run
-can resume from the same file; model loading skips them.
+``rank`` u32 dims (rank at most ``MAX_RANK``), then the float32 payload in
+C order.  Reserved names under ``_state/`` carry optimizer and progress
+counters so a training run can resume from the same file; model loading
+skips them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .nn import Module
 
 MAGIC = b"PNLB1"
 STATE_PREFIX = "_state/"
+MAX_RANK = 32  # the lowest ndarray rank limit across NumPy versions
 
 
 def save_checkpoint(path, records: dict[str, np.ndarray]) -> None:
@@ -65,6 +67,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: record name is not valid UTF-8") from exc
         (rank,) = struct.unpack("<I", take(4))
+        if rank > MAX_RANK:
+            raise CheckpointError(f"{path}: record {name!r} has rank {rank}, "
+                                  f"more than {MAX_RANK}")
         dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         count = math.prod(dims)
         payload = take(4 * count)

@@ -327,9 +327,17 @@ def config_from_state(state: dict[str, np.ndarray]) -> ModelConfig:
         raise CheckpointError(f"checkpoint lacks architecture records: {', '.join(missing)}")
 
     def ints(key: str) -> tuple[int, ...]:
-        return tuple(int(v) for v in state[key])
+        values = state[key].reshape(-1)
+        if not np.all(np.isfinite(values) & (values == np.round(values))):
+            raise CheckpointError(f"architecture record {key!r} holds non-integral "
+                                  f"values: {values.tolist()}")
+        return tuple(int(v) for v in values)
 
-    ppm, ggf, fam, edge = (bool(v) for v in state["config/switches"])
+    switches = ints("config/switches")
+    if len(switches) != 4:
+        raise CheckpointError(f"architecture record 'config/switches' needs 4 values, "
+                              f"got {len(switches)}")
+    ppm, ggf, fam, edge = (bool(v) for v in switches)
     return ModelConfig(backbone_widths=ints("config/backbone_widths"),
                        pyramid_channels=ints("config/pyramid_channels"),
                        enable_ppm=ppm, enable_ggf=ggf, enable_fam=fam, enable_edge=edge,

@@ -8,7 +8,11 @@ output tensor.  ``conv2d`` works in one channel-major layout: a
 (out_c, n*oh*ow) output, and the output gradient in that same layout feeds
 both d_weight and d_input, so at batch 1 no operand is transposed.  The three
 average pools share one separable primitive, y = A_h x A_w^T with a dense
-averaging matrix per axis, and its one VJP.
+averaging matrix per axis, and its one VJP.  Bilinear resize keeps the exact
+lerp form (``np.take`` gathers) in the forward; its VJP scatters each axis in
+passes that never write one input twice, which rounds bit for bit as an
+``np.add.at`` scatter would (the matrix adjoint A_h^T g A_w sums in another
+order, so it is not used).
 ``backward`` walks the recorded lineage once, in reverse topological order,
 and accumulates gradients into leaf tensors that were created with
 ``requires_grad=True``.
@@ -21,6 +25,7 @@ are created; see ``set_default_dtype`` / ``default_dtype``.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -313,6 +318,47 @@ def _resample_axis(in_size: int, out_size: int, dtype):
     return lo, hi, frac
 
 
+@lru_cache(maxsize=256)
+def _lerp_adjoint_plan(in_size: int, out_size: int, dtype) -> tuple:
+    """Passes that scatter a lerp's gradient back onto its ``in_size`` inputs.
+
+    Output index d adds ``g[d] * (1 - frac[d])`` to input ``lo[d]`` and
+    ``g[d] * frac[d]`` to ``hi[d]``.  Each input takes its terms in the order
+    ``np.add.at`` would: every ``lo`` term in ascending d, then every ``hi``
+    term.  Pass p holds the p-th term of every input, so no pass writes an
+    input twice and ``d[target] += g[source] * weight`` pass after pass
+    rounds exactly as the sequential sum does.  A pass returns
+    (target, source, weight) with targets ascending; a run of consecutive
+    targets becomes a slice.
+    """
+    lo, hi, frac = _resample_axis(in_size, out_size, dtype)
+    target = np.concatenate([lo, hi])
+    weight = np.concatenate([1.0 - frac, frac])[:, None]
+    order = np.argsort(target, kind="stable")
+    first = np.r_[True, np.diff(target[order]) != 0]
+    rank = np.arange(target.size) - np.flatnonzero(first)[np.cumsum(first) - 1]
+    passes = []
+    for p in range(rank.max() + 1):
+        src = order[rank == p]
+        t = target[src]
+        if t[-1] - t[0] + 1 == t.size:
+            t = slice(int(t[0]), int(t[-1]) + 1)
+        source, w = src % out_size, weight[src]
+        source.flags.writeable = w.flags.writeable = False  # cached: shared by every call
+        passes.append((t, source, w))
+    return tuple(passes)
+
+
+def _lerp_adjoint(g: np.ndarray, in_size: int, dtype, out_dtype) -> np.ndarray:
+    """Adjoint of ``_resample_axis``'s lerp along axis 0 of a 2-D ``g``."""
+    d = np.zeros((in_size, g.shape[1]), dtype=out_dtype)
+    for target, source, weight in _lerp_adjoint_plan(in_size, g.shape[0], dtype):
+        v = np.take(g, source, axis=0)
+        v *= weight
+        d[target] += v
+    return d
+
+
 def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinear resize to an arbitrary spatial size (half-pixel centres, edge clamp)."""
     _check_rank4(x, "resize_bilinear input")
@@ -323,23 +369,28 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
         return x
     r0, r1, fy = _resample_axis(h, out_h, x.dtype)
     c0, c1, fx = _resample_axis(w, out_w, x.dtype)
-    fy_col = fy[:, None]
 
-    rows_lo = x.data[:, :, r0, :]
-    rows_hi = x.data[:, :, r1, :]
-    tmp = rows_lo + fy_col * (rows_hi - rows_lo)  # (n, c, out_h, w)
-    left = tmp[:, :, :, c0]
-    right = tmp[:, :, :, c1]
-    out = left + fx * (right - left)
+    # lo + frac * (hi - lo), computed in place in the hi buffer
+    rows_lo = np.take(x.data, r0, axis=2)
+    tmp = np.take(x.data, r1, axis=2)  # (n, c, out_h, w)
+    tmp -= rows_lo
+    tmp *= fy[:, None]
+    tmp += rows_lo
+    left = np.take(tmp, c0, axis=3)
+    out = np.take(tmp, c1, axis=3)
+    out -= left
+    out *= fx
+    out += left
 
     def vjp(g: np.ndarray):
-        d_tmp = np.zeros((n, c, out_h, w), dtype=g.dtype)
-        np.add.at(d_tmp, (Ellipsis, c0), g * (1.0 - fx))
-        np.add.at(d_tmp, (Ellipsis, c1), g * fx)
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, (slice(None), slice(None), r0), d_tmp * (1.0 - fy_col))
-        np.add.at(dx, (slice(None), slice(None), r1), d_tmp * fy_col)
-        return (dx,)
+        # columns in a (w, n, c, out_h) layout, then rows in (h, n, c, w), so
+        # every pass moves whole contiguous rows; rebinding d frees each
+        # layout's buffer once the next one exists
+        d = np.ascontiguousarray(g.transpose(3, 0, 1, 2)).reshape(out_w, -1)
+        d = _lerp_adjoint(d, w, x.dtype, g.dtype).reshape(w, n, c, out_h)
+        d = np.ascontiguousarray(d.transpose(3, 1, 2, 0)).reshape(out_h, -1)
+        d = _lerp_adjoint(d, h, x.dtype, x.dtype).reshape(h, n, c, w)
+        return (np.ascontiguousarray(d.transpose(1, 2, 0, 3)),)
 
     return _op_output(out, (x,), vjp)
 

@@ -1,5 +1,6 @@
 """Shared fixtures: finite-difference gradient checking, a reference
-convolution and brute-force metric oracles.
+convolution, a reference bilinear-resize gradient and brute-force metric
+oracles.
 
 The oracles here are deliberately naive (python loops, explicit confusion
 counts) and independent of the library's vectorized implementations; tests
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from poolnet.tensor import Tensor, backward, mul, no_grad, reduce_sum
+from poolnet.tensor import Tensor, _resample_axis, backward, mul, no_grad, reduce_sum
 
 # ---------------------------------------------------------------------------
 # finite-difference gradient checking
@@ -127,6 +128,34 @@ def reference_conv2d(x, w, b, stride, padding, g):
 @pytest.fixture
 def conv_reference():
     return reference_conv2d
+
+
+# ---------------------------------------------------------------------------
+# reference bilinear-resize gradient
+# ---------------------------------------------------------------------------
+
+
+def reference_resize_vjp(x_shape, g):
+    """Input gradient of ``resize_bilinear`` for output gradient ``g``,
+    scattered with ``np.add.at``: columns first, then rows, each input taking
+    its ``lo`` terms before its ``hi`` terms in ascending output order."""
+    n, c, h, w = x_shape
+    out_h, out_w = g.shape[2:]
+    r0, r1, fy = _resample_axis(h, out_h, g.dtype)
+    c0, c1, fx = _resample_axis(w, out_w, g.dtype)
+    fy_col = fy[:, None]
+    d_tmp = np.zeros((n, c, out_h, w), dtype=g.dtype)
+    np.add.at(d_tmp, (Ellipsis, c0), g * (1.0 - fx))
+    np.add.at(d_tmp, (Ellipsis, c1), g * fx)
+    dx = np.zeros(x_shape, dtype=g.dtype)
+    np.add.at(dx, (slice(None), slice(None), r0), d_tmp * (1.0 - fy_col))
+    np.add.at(dx, (slice(None), slice(None), r1), d_tmp * fy_col)
+    return dx
+
+
+@pytest.fixture
+def resize_reference():
+    return reference_resize_vjp
 
 
 # ---------------------------------------------------------------------------

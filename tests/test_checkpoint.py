@@ -7,6 +7,7 @@ import pytest
 
 from poolnet.checkpoint import (
     MAGIC,
+    MAX_RANK,
     load_checkpoint,
     load_model,
     save_checkpoint,
@@ -14,7 +15,13 @@ from poolnet.checkpoint import (
 )
 from poolnet.config import ModelConfig
 from poolnet.errors import CheckpointError
-from poolnet.model import build_model, model_from_checkpoint, save_model_with_config
+from poolnet.model import (
+    build_model,
+    config_from_state,
+    config_to_state,
+    model_from_checkpoint,
+    save_model_with_config,
+)
 from poolnet.tensor import Tensor
 
 
@@ -82,6 +89,20 @@ class TestContainerFormat:
                          + struct.pack("<5I", 4, 65536, 65536, 65536, 65536))
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("rank", [33, 70])
+    def test_rank_above_cap_raises(self, tmp_path, rank):
+        # a zero dim makes the payload empty, so only the rank is wrong
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", 1) + b"w"
+                         + struct.pack(f"<{rank + 1}I", rank, 0, *[1] * (rank - 1)))
+        with pytest.raises(CheckpointError, match=f"rank {rank}"):
+            load_checkpoint(path)
+
+    def test_rank_at_cap_loads(self, tmp_path):
+        path = tmp_path / "deep.ckpt"
+        save_checkpoint(path, {"w": np.zeros((1,) * MAX_RANK, dtype=np.float32)})
+        assert load_checkpoint(path)["w"].shape == (1,) * MAX_RANK
 
     def test_failed_save_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "final.ckpt"
@@ -195,3 +216,19 @@ class TestSelfDescribingCheckpoints:
         save_model(path, model)  # plain save: no architecture records
         with pytest.raises(CheckpointError):
             model_from_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["config/backbone_widths", "config/ppm_sizes",
+                                     "config/switches"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 4.5])
+    def test_non_integral_architecture_record_raises(self, key, bad):
+        state = config_to_state(ModelConfig())
+        state[key] = state[key].copy()
+        state[key][0] = bad
+        with pytest.raises(CheckpointError, match=key):
+            config_from_state(state)
+
+    def test_switch_count_is_checked(self):
+        state = config_to_state(ModelConfig())
+        state["config/switches"] = state["config/switches"][:3]
+        with pytest.raises(CheckpointError, match="config/switches"):
+            config_from_state(state)

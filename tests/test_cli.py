@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from poolnet.checkpoint import load_checkpoint, save_checkpoint
 from poolnet.cli import main
 from poolnet.data import load_map
 from poolnet.model import model_from_checkpoint, save_model_with_config
@@ -96,6 +97,28 @@ class TestExitCodes:
                      "--manifest", str(sal_dir / "manifest.tsv"),
                      "--output-dir", str(tmp_path / "out")]) == 3
         assert "truncated" in capsys.readouterr().err
+
+    def test_checkpoint_rank_overflow_is_three(self, tmp_path, sal_dir, capsys):
+        bad = tmp_path / "deep.ckpt"
+        bad.write_bytes(b"PNLB1" + struct.pack("<I", 1) + b"w"
+                        + struct.pack("<71I", 70, 0, *[1] * 69))
+        assert main(["infer", "--checkpoint", str(bad),
+                     "--manifest", str(sal_dir / "manifest.tsv"),
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        assert "rank 70" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 4.5])
+    def test_corrupt_architecture_record_is_three(self, tmp_path, sal_dir, run_dir,
+                                                  capsys, bad):
+        records = load_checkpoint(run_dir / "final.ckpt")
+        records["_state/config/backbone_widths"][1] = bad
+        path = tmp_path / "widths.ckpt"
+        save_checkpoint(path, records)
+        assert main(["infer", "--checkpoint", str(path),
+                     "--manifest", str(sal_dir / "manifest.tsv"),
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "config/backbone_widths" in err and "Traceback" not in err
 
     def test_config_not_utf8_is_two(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

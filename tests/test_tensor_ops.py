@@ -280,6 +280,49 @@ class TestBilinear:
     def test_supported_factors(self):
         assert UPSAMPLE_FACTORS == (1, 2, 4, 8, 16)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("in_shape, out_h, out_w", [
+        ((1, 3, 5, 6), 10, 12),
+        ((1, 3, 5, 6), 20, 24),
+        ((1, 3, 5, 6), 40, 48),
+        ((1, 3, 5, 6), 80, 96),
+        ((1, 4, 1, 1), 19, 25),
+        ((1, 4, 3, 3), 19, 25),
+        ((1, 4, 5, 5), 19, 25),
+        ((1, 2, 10, 10), 4, 7),
+        ((1, 2, 6, 7), 6, 14),
+        ((1, 2, 6, 7), 12, 7),
+        ((2, 3, 5, 6), 10, 12),
+    ])
+    def test_vjp_matches_reference(self, resize_reference, in_shape, out_h, out_w, dtype):
+        rng = np.random.default_rng(out_h * 100 + out_w)
+        x = t(rng.standard_normal(in_shape), requires_grad=True, dtype=dtype)
+        out = resize_bilinear(x, out_h, out_w)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        (d_x,) = out._vjp(g)
+        want = resize_reference(in_shape, g)
+        assert d_x.dtype == want.dtype and d_x.shape == want.shape
+        assert d_x.flags.c_contiguous
+        assert d_x.tobytes() == want.tobytes()
+
+    def test_vjp_non_finite_matches_reference(self, resize_reference):
+        rng = np.random.default_rng(5)
+        x = t(rng.standard_normal((1, 2, 5, 6)), requires_grad=True, dtype=np.float32)
+        out = resize_bilinear(x, 10, 12)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        g[0, 0, 3, 4] = np.nan
+        g[0, 1, 0, 0] = np.inf
+        g[0, 1, 7, 9] = -np.inf
+        g[0, 1, 9, 11] = np.inf  # inf - inf within one input cell
+        with np.errstate(invalid="ignore"):
+            (d_x,) = out._vjp(g)
+            want = resize_reference((1, 2, 5, 6), g)
+        nan = np.isnan(want)
+        assert nan.any() and np.isinf(want).any()
+        # NaN sign bits may differ; every other value is bit-identical
+        assert np.array_equal(np.isnan(d_x), nan)
+        assert d_x[~nan].tobytes() == want[~nan].tobytes()
+
 
 class TestPadCrop:
     def test_replicate_pad_repeats_border(self):
