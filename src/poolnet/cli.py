@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (CONFIG_FIELDS, RunConfig, _parse_int_tuple, ablation_configs,
-                     build_run_config, read_config_file, thread_cap)
+from .config import (CONFIG_FIELDS, RunConfig, _parse_bool, ablation_configs, build_run_config,
+                     read_config_file, thread_cap)
 from .data import (atomic_open, load_manifest, load_map, synth_edge_dataset,
                    synth_saliency_dataset)
 from .errors import CheckpointError, ConfigError, DataError, NumericError, ShapeError
@@ -50,47 +50,30 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
                         help="key = value configuration file ('#' starts a comment)")
 
 
-def _add_model_flags(parser: argparse.ArgumentParser, switches: bool = True) -> None:
-    group = parser.add_argument_group("model")
-    group.add_argument("--backbone-widths", type=_flag_type(_parse_int_tuple), metavar="W1,..,W5",
-                       default=argparse.SUPPRESS, help="five backbone stage widths")
-    group.add_argument("--pyramid-channels", type=_flag_type(_parse_int_tuple), metavar="C2,..,C5",
-                       default=argparse.SUPPRESS, help="four fusion level widths")
-    group.add_argument("--fam-rates", type=_flag_type(_parse_int_tuple), metavar="R,..",
-                       default=argparse.SUPPRESS, help="aggregation pooling rates")
-    group.add_argument("--ppm-sizes", type=_flag_type(_parse_int_tuple), metavar="S,..",
-                       default=argparse.SUPPRESS, help="pyramid pooling grid sizes")
-    if switches:
-        for switch, text in (("ppm", "pyramid pooling block"),
-                             ("ggf", "global guidance flows"),
-                             ("fam", "feature aggregation modules"),
-                             ("edge", "edge detection branch")):
-            group.add_argument(f"--enable-{switch}", action=argparse.BooleanOptionalAction,
-                               default=argparse.SUPPRESS, help=f"toggle the {text}")
+def _add_flag(parser, key: str, help_text: str = "", flag: str = "") -> None:
+    """The flag for one ``CONFIG_FIELDS`` key, parsed as the config file parses it."""
+    _, parse, row_help, metavar = CONFIG_FIELDS[key]
+    how = (dict(action=argparse.BooleanOptionalAction) if parse is _parse_bool
+           else dict(type=_flag_type(parse), metavar=metavar))
+    parser.add_argument(flag or "--" + key.replace("_", "-"), dest=key,
+                        default=argparse.SUPPRESS, help=help_text or row_help, **how)
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("training")
-    group.add_argument("--lr", type=float, default=argparse.SUPPRESS,
-                       help="initial learning rate")
-    group.add_argument("--weight-decay", type=float, default=argparse.SUPPRESS,
-                       help="coupled weight decay")
-    group.add_argument("--epochs", type=int, default=argparse.SUPPRESS,
-                       help="number of training epochs")
-    group.add_argument("--lr-drop-epoch", type=int, default=argparse.SUPPRESS,
-                       help="epoch at which the learning rate drops")
-    group.add_argument("--lr-drop-factor", type=float, default=argparse.SUPPRESS,
-                       help="divisor applied at the drop epoch")
-    group.add_argument("--batch-size", type=int, default=argparse.SUPPRESS,
-                       help="samples per step (equal sizes required above 1)")
-    group.add_argument("--joint-edge", action=argparse.BooleanOptionalAction,
-                       default=argparse.SUPPRESS,
-                       help="alternate saliency and edge steps")
+def _add_setting_flags(parser: argparse.ArgumentParser,
+                       sections: tuple[str, ...] = ("model", "train"),
+                       switches: bool = True) -> None:
+    """Grouped flags for the model and training keys but ``seed``, in table order.
 
-
-def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="master random seed (default 0)")
+    ``switches=False`` leaves out the model's boolean switches.
+    """
+    groups = {section: parser.add_argument_group(title)
+              for section, title in (("model", "model"), ("train", "training"))
+              if section in sections}
+    for key, (section, parse, _, _) in CONFIG_FIELDS.items():
+        if section not in groups or key == "seed":
+            continue
+        if switches or section != "model" or parse is not _parse_bool:
+            _add_flag(groups[section], key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,29 +87,22 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Train a model and write per-epoch "
                                             "checkpoints, a final checkpoint, and a step log.")
     _add_config_flag(train)
-    _add_seed_flag(train)
-    train.add_argument("--saliency-manifest", type=Path, default=argparse.SUPPRESS,
-                       metavar="FILE", help="training manifest (image<TAB>mask lines)")
-    train.add_argument("--edge-manifest", type=Path, default=argparse.SUPPRESS,
-                       metavar="FILE", help="edge manifest for joint training")
-    train.add_argument("--output-dir", type=Path, default=argparse.SUPPRESS,
-                       metavar="DIR", help="where checkpoints and the log go")
+    _add_flag(train, "seed")
+    _add_flag(train, "saliency_manifest", "training manifest (image<TAB>mask lines)")
+    _add_flag(train, "edge_manifest", "edge manifest for joint training")
+    _add_flag(train, "output_dir", "where checkpoints and the log go")
     train.add_argument("--resume", type=Path, metavar="CKPT",
                        help="continue from a checkpoint written by a previous run")
-    _add_model_flags(train)
-    _add_train_flags(train)
+    _add_setting_flags(train)
     train.set_defaults(func=cmd_train)
 
     infer = commands.add_parser("infer", help="write saliency maps for a manifest",
                                 description="Run a checkpoint over a manifest and write "
                                             "8-bit saliency (and edge) maps.")
     _add_config_flag(infer)
-    infer.add_argument("--checkpoint", type=Path, default=argparse.SUPPRESS,
-                       metavar="CKPT", help="checkpoint to run")
-    infer.add_argument("--manifest", dest="saliency_manifest", type=Path,
-                       default=argparse.SUPPRESS, metavar="FILE", help="input manifest")
-    infer.add_argument("--output-dir", type=Path, default=argparse.SUPPRESS,
-                       metavar="DIR", help="where predicted maps go")
+    _add_flag(infer, "checkpoint", "checkpoint to run")
+    _add_flag(infer, "saliency_manifest", "input manifest", flag="--manifest")
+    _add_flag(infer, "output_dir", "where predicted maps go")
     infer.set_defaults(func=cmd_infer)
 
     evaluate = commands.add_parser("eval", help="score predictions against ground truth",
@@ -145,26 +121,23 @@ def build_parser() -> argparse.ArgumentParser:
                                              "aggregation switch combinations and write a "
                                              "summary CSV.")
     _add_config_flag(ablate)
-    _add_seed_flag(ablate)
-    ablate.add_argument("--saliency-manifest", type=Path, default=argparse.SUPPRESS,
-                        metavar="FILE", help="manifest used for training and scoring")
-    ablate.add_argument("--output-dir", type=Path, default=argparse.SUPPRESS,
-                        metavar="DIR", help="where ablation.csv goes")
-    _add_model_flags(ablate, switches=False)
-    _add_train_flags(ablate)
+    _add_flag(ablate, "seed")
+    _add_flag(ablate, "saliency_manifest", "manifest used for training and scoring")
+    _add_flag(ablate, "output_dir", "where ablation.csv goes")
+    _add_setting_flags(ablate, switches=False)
     ablate.set_defaults(func=cmd_ablate)
 
     bench = commands.add_parser("bench", help="measure forward latency",
                                 description="Time model forwards on random input and "
                                             "report latency statistics.")
     _add_config_flag(bench)
-    _add_seed_flag(bench)
+    _add_flag(bench, "seed")
     bench.add_argument("--size", type=_flag_type(_parse_wxh), default=(400, 300), metavar="WxH",
                        help="input size (default 400x300; padded up to multiples of 16)")
     bench.add_argument("--iters", type=int, default=10, help="timed iterations (default 10)")
     bench.add_argument("--warmup", type=int, default=2,
                        help="untimed warm-up iterations (default 2)")
-    _add_model_flags(bench)
+    _add_setting_flags(bench, sections=("model",))
     bench.set_defaults(func=cmd_bench)
 
     synth = commands.add_parser("synth", help="generate a synthetic dataset",
@@ -175,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--count", type=int, required=True, help="number of samples")
     synth.add_argument("--size", type=int, default=64,
                        help="square image side in pixels (default 64)")
-    _add_seed_flag(synth)
+    _add_flag(synth, "seed")
     synth.add_argument("--output-dir", type=Path, required=True, metavar="DIR",
                        help="dataset directory")
     synth.set_defaults(func=cmd_synth)

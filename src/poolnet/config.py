@@ -12,6 +12,7 @@ must never import numpy.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +22,8 @@ from .errors import ConfigError
 
 DESK_WIDTHS = (16, 32, 64, 128, 128)
 FULL_WIDTHS = (64, 128, 256, 512, 512)
+# the integer factors bilinear upsampling supports; a FAM rate must be one
+UPSAMPLE_FACTORS = (1, 2, 4, 8, 16)
 
 
 @dataclass
@@ -59,8 +62,9 @@ class ModelConfig:
             raise ConfigError(f"pyramid_channels must be positive, got {self.pyramid_channels}")
         if not self.fam_rates:
             raise ConfigError("fam_rates must not be empty")
-        if any(r < 2 for r in self.fam_rates):
-            raise ConfigError(f"fam_rates must all be >= 2, got {self.fam_rates}")
+        if not set(self.fam_rates) <= set(UPSAMPLE_FACTORS[1:]):
+            raise ConfigError(f"fam_rates must each be one of {UPSAMPLE_FACTORS[1:]}, "
+                              f"got {self.fam_rates}")
         if list(self.fam_rates) != sorted(set(self.fam_rates)):
             raise ConfigError(f"fam_rates must be strictly ascending, got {self.fam_rates}")
         if not self.ppm_sizes:
@@ -111,6 +115,9 @@ class TrainConfig:
     joint_edge: bool = False
 
     def validate(self) -> None:
+        for name in ("lr", "weight_decay", "lr_drop_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if self.weight_decay < 0:
@@ -153,49 +160,46 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+def _parser(convert, what: str):
+    """A setting parser: ``convert`` the text, reporting a ValueError as ConfigError."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise ConfigError(f"expected {what}, got {text!r}") from exc
+    return parse
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected an integer, got {text!r}") from exc
+_parse_int = _parser(int, "an integer")
+_parse_float = _parser(float, "a number")
+_parse_int_tuple = _parser(
+    lambda text: tuple(int(part) for part in text.split(",") if part.strip()),
+    "comma-separated integers")
 
-
-def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number, got {text!r}") from exc
-
-
-# key -> (section, attribute, parser applied to config-file strings)
+# key -> (section, parser, flag help, flag metavar): the one declaration of a
+# setting.  The CLI derives a flag from each model and training row, in this
+# order; the run rows' flags are declared per command, as their help differs.
 CONFIG_FIELDS = {
-    "backbone_widths": ("model", "backbone_widths", _parse_int_tuple),
-    "pyramid_channels": ("model", "pyramid_channels", _parse_int_tuple),
-    "enable_ppm": ("model", "enable_ppm", _parse_bool),
-    "enable_ggf": ("model", "enable_ggf", _parse_bool),
-    "enable_fam": ("model", "enable_fam", _parse_bool),
-    "enable_edge": ("model", "enable_edge", _parse_bool),
-    "fam_rates": ("model", "fam_rates", _parse_int_tuple),
-    "ppm_sizes": ("model", "ppm_sizes", _parse_int_tuple),
-    "lr": ("train", "lr", _parse_float),
-    "weight_decay": ("train", "weight_decay", _parse_float),
-    "epochs": ("train", "epochs", _parse_int),
-    "lr_drop_epoch": ("train", "lr_drop_epoch", _parse_int),
-    "lr_drop_factor": ("train", "lr_drop_factor", _parse_float),
-    "batch_size": ("train", "batch_size", _parse_int),
-    "seed": ("train", "seed", _parse_int),
-    "joint_edge": ("train", "joint_edge", _parse_bool),
-    "saliency_manifest": ("run", "saliency_manifest", Path),
-    "edge_manifest": ("run", "edge_manifest", Path),
-    "checkpoint": ("run", "checkpoint", Path),
-    "output_dir": ("run", "output_dir", Path),
+    "backbone_widths": ("model", _parse_int_tuple, "five backbone stage widths", "W1,..,W5"),
+    "pyramid_channels": ("model", _parse_int_tuple, "four fusion level widths", "C2,..,C5"),
+    "fam_rates": ("model", _parse_int_tuple, "aggregation pooling rates", "R,.."),
+    "ppm_sizes": ("model", _parse_int_tuple, "pyramid pooling grid sizes", "S,.."),
+    "enable_ppm": ("model", _parse_bool, "toggle the pyramid pooling block", None),
+    "enable_ggf": ("model", _parse_bool, "toggle the global guidance flows", None),
+    "enable_fam": ("model", _parse_bool, "toggle the feature aggregation modules", None),
+    "enable_edge": ("model", _parse_bool, "toggle the edge detection branch", None),
+    "lr": ("train", _parse_float, "initial learning rate", None),
+    "weight_decay": ("train", _parse_float, "coupled weight decay", None),
+    "epochs": ("train", _parse_int, "number of training epochs", None),
+    "lr_drop_epoch": ("train", _parse_int, "epoch at which the learning rate drops", None),
+    "lr_drop_factor": ("train", _parse_float, "divisor applied at the drop epoch", None),
+    "batch_size": ("train", _parse_int, "samples per step (equal sizes required above 1)", None),
+    "joint_edge": ("train", _parse_bool, "alternate saliency and edge steps", None),
+    "seed": ("train", _parse_int, "master random seed (default 0)", None),
+    "saliency_manifest": ("run", Path, None, "FILE"),
+    "edge_manifest": ("run", Path, None, "FILE"),
+    "checkpoint": ("run", Path, None, "CKPT"),
+    "output_dir": ("run", Path, None, "DIR"),
 }
 
 
@@ -227,26 +231,14 @@ def read_config_file(path) -> dict[str, str]:
 def build_run_config(file_values: Optional[dict[str, str]] = None,
                      overrides: Optional[dict[str, object]] = None) -> RunConfig:
     """Defaults, then config-file values, then already-typed flag overrides."""
-    run = RunConfig()
-    sections = {"model": run.model, "train": run.train, "run": run}
-
-    def apply(key: str, value) -> None:
-        section, attr, _ = CONFIG_FIELDS[key]
-        setattr(sections[section], attr, value)
-
-    for key, text in (file_values or {}).items():
-        if key not in CONFIG_FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        _, _, parser = CONFIG_FIELDS[key]
-        apply(key, parser(text))
-    for key, value in (overrides or {}).items():
-        if key not in CONFIG_FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        apply(key, value)
-    # re-derive dependent defaults after width overrides
-    if "backbone_widths" in (file_values or {}) or "backbone_widths" in (overrides or {}):
-        explicit = (file_values or {}).keys() | (overrides or {}).keys()
-        if "pyramid_channels" not in explicit:
-            run.model.pyramid_channels = tuple(run.model.backbone_widths[1:])
+    sections: dict[str, dict] = {"model": {}, "train": {}, "run": {}}
+    for values, typed in ((file_values, False), (overrides, True)):
+        for key, value in (values or {}).items():
+            if key not in CONFIG_FIELDS:
+                raise ConfigError(f"unknown config key {key!r}")
+            section, parse = CONFIG_FIELDS[key][:2]
+            sections[section][key] = value if typed else parse(value)
+    run = RunConfig(ModelConfig(**sections["model"]), TrainConfig(**sections["train"]),
+                    **sections["run"])
     run.validate()
     return run

@@ -25,7 +25,7 @@ import numpy as np
 
 from .checkpoint import STATE_PREFIX, apply_records, load_checkpoint, save_model
 from .config import ModelConfig
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .nn import Conv2d, Module, ModuleList
 from .tensor import (Tensor, add, adaptive_avg_pool2d, avg_pool2d, concat_channels,
                      crop2d, global_avg_pool, max_pool2d, pad_replicate2d, relu,
@@ -345,6 +345,29 @@ def config_from_state(state: dict[str, np.ndarray]) -> ModelConfig:
                        ppm_sizes=ints("config/ppm_sizes"))
 
 
+def _check_architecture(config: ModelConfig, stored: int) -> None:
+    """Reject architecture records that a file of ``stored`` values cannot back.
+
+    This runs before ``build_model`` allocates anything.  Every width owns
+    weights the file must hold: each backbone stage and fusion levels 2-4 a
+    w x w 3x3 conv; fusion level 5 1x1 convs to the deepest backbone width, to
+    level 4 and, with guidance flows, to every level.
+    """
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise CheckpointError(f"invalid architecture records: {exc}") from exc
+    pyr = config.pyramid_channels
+    partners = (config.backbone_widths[4], pyr[2], *(pyr if config.enable_ggf else ()))
+    owned = [("config/backbone_widths", w, 9 * w * w) for w in config.backbone_widths]
+    owned += [("config/pyramid_channels", w, 9 * w * w) for w in pyr[:3]]
+    owned.append(("config/pyramid_channels", pyr[3], pyr[3] * max(partners)))
+    for key, width, need in owned:
+        if need > stored:
+            raise CheckpointError(f"architecture record {key!r}: width {width} needs at least "
+                                  f"{need} stored weights, the file holds {stored} values")
+
+
 def save_model_with_config(path, model: SaliencyNet,
                            extra_state: Optional[dict[str, np.ndarray]] = None) -> None:
     state = config_to_state(model.config)
@@ -362,7 +385,9 @@ def model_from_checkpoint(path) -> tuple[SaliencyNet, dict[str, np.ndarray]]:
     records = load_checkpoint(path)
     state = {name[len(STATE_PREFIX):]: arr for name, arr in records.items()
              if name.startswith(STATE_PREFIX)}
-    model = build_model(config_from_state(state))
+    config = config_from_state(state)
+    _check_architecture(config, sum(arr.size for arr in records.values()))
+    model = build_model(config)
     state = apply_records(model, records)
     for key in _CONFIG_KEYS:
         state.pop(key, None)

@@ -8,6 +8,11 @@ from .config import TrainConfig
 from .errors import CheckpointError
 from .nn import Parameter
 
+# moment decay rates and the denominator guard (Kingma & Ba's defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
     """Base rate until the drop epoch, then divided by the drop factor."""
@@ -28,16 +33,12 @@ class Adam:
     """
 
     def __init__(self, params, lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  require_grads: bool = True):
         self.params: list[Parameter] = [p for p in params if p.trainable]
         if not self.params:
             raise ValueError("Adam: no trainable parameters")
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.require_grads = require_grads
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -65,11 +66,11 @@ class Adam:
                 g = g + p.dtype.type(self.weight_decay) * p.data
             self.updates[i] += 1
             t = int(self.updates[i])
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * np.square(g)
-            m_hat = self.m[i] / p.dtype.type(1.0 - self.beta1 ** t)
-            v_hat = self.v[i] / p.dtype.type(1.0 - self.beta2 ** t)
-            p.data -= p.dtype.type(self.lr) * m_hat / (np.sqrt(v_hat) + p.dtype.type(self.eps))
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * np.square(g)
+            m_hat = self.m[i] / p.dtype.type(1.0 - BETA1 ** t)
+            v_hat = self.v[i] / p.dtype.type(1.0 - BETA2 ** t)
+            p.data -= p.dtype.type(self.lr) * m_hat / (np.sqrt(v_hat) + p.dtype.type(EPS))
 
     def state_dict(self) -> dict[str, np.ndarray]:
         out = {"opt/step": np.asarray([self.step_count], dtype=np.float32),

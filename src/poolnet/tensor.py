@@ -30,12 +30,11 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .config import UPSAMPLE_FACTORS
 from .errors import ShapeError
 
 _DEFAULT_DTYPE = np.dtype(np.float32)
 _GRAD_ENABLED = True
-
-UPSAMPLE_FACTORS = (1, 2, 4, 8, 16)
 
 
 def set_default_dtype(dtype) -> None:
@@ -349,9 +348,9 @@ def _lerp_adjoint_plan(in_size: int, out_size: int, dtype) -> tuple:
     return tuple(passes)
 
 
-def _lerp_adjoint(g: np.ndarray, in_size: int, dtype, out_dtype) -> np.ndarray:
+def _lerp_adjoint(g: np.ndarray, in_size: int, dtype) -> np.ndarray:
     """Adjoint of ``_resample_axis``'s lerp along axis 0 of a 2-D ``g``."""
-    d = np.zeros((in_size, g.shape[1]), dtype=out_dtype)
+    d = np.zeros((in_size, g.shape[1]), dtype=dtype)
     for target, source, weight in _lerp_adjoint_plan(in_size, g.shape[0], dtype):
         v = np.take(g, source, axis=0)
         v *= weight
@@ -387,9 +386,9 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
         # every pass moves whole contiguous rows; rebinding d frees each
         # layout's buffer once the next one exists
         d = np.ascontiguousarray(g.transpose(3, 0, 1, 2)).reshape(out_w, -1)
-        d = _lerp_adjoint(d, w, x.dtype, g.dtype).reshape(w, n, c, out_h)
+        d = _lerp_adjoint(d, w, x.dtype).reshape(w, n, c, out_h)
         d = np.ascontiguousarray(d.transpose(3, 1, 2, 0)).reshape(out_h, -1)
-        d = _lerp_adjoint(d, h, x.dtype, x.dtype).reshape(h, n, c, w)
+        d = _lerp_adjoint(d, h, x.dtype).reshape(h, n, c, w)
         return (np.ascontiguousarray(d.transpose(1, 2, 0, 3)),)
 
     return _op_output(out, (x,), vjp)

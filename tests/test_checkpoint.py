@@ -232,3 +232,27 @@ class TestSelfDescribingCheckpoints:
         state["config/switches"] = state["config/switches"][:3]
         with pytest.raises(CheckpointError, match="config/switches"):
             config_from_state(state)
+
+    @pytest.mark.parametrize("ggf", [False, True])
+    def test_narrow_checkpoint_with_a_wide_top_level_loads(self, tmp_path, ggf):
+        # fusion level 5 owns no 3x3 conv, so its width may exceed sqrt(stored / 9)
+        config = ModelConfig(backbone_widths=(4, 4, 4, 4, 4), pyramid_channels=(4, 4, 4, 64),
+                             enable_ppm=False, enable_ggf=ggf, ppm_sizes=(2,), fam_rates=(2,))
+        path = tmp_path / "m.ckpt"
+        save_model_with_config(path, build_model(config, seed=0))
+        assert 9 * 64 ** 2 > sum(arr.size for arr in load_checkpoint(path).values())
+        rebuilt, _ = model_from_checkpoint(path)
+        assert rebuilt.config == config
+
+    @pytest.mark.parametrize("key, value", [("_state/config/fam_rates", [3.0]),
+                                            ("_state/config/pyramid_channels", [4.0] * 3)])
+    def test_invalid_architecture_record_raises_before_build(self, tmp_path, key, value):
+        model = build_model(ModelConfig(backbone_widths=(4, 6, 6, 8, 8),
+                                        ppm_sizes=(2,), fam_rates=(2, 4)), seed=0)
+        path = tmp_path / "m.ckpt"
+        save_model_with_config(path, model)
+        records = load_checkpoint(path)
+        records[key] = np.asarray(value, dtype=np.float32)
+        save_checkpoint(path, records)
+        with pytest.raises(CheckpointError, match="invalid architecture records"):
+            model_from_checkpoint(path)

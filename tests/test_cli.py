@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, config/flag precedence, pipelines,
 and help text."""
 
+import argparse
 import csv
+import dataclasses
 import struct
 from pathlib import Path
 
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 from poolnet.checkpoint import load_checkpoint, save_checkpoint
-from poolnet.cli import main
+from poolnet.cli import build_parser, main
+from poolnet.config import CONFIG_FIELDS, ModelConfig, RunConfig, TrainConfig
 from poolnet.data import load_map
 from poolnet.model import model_from_checkpoint, save_model_with_config
 
@@ -107,7 +110,7 @@ class TestExitCodes:
                      "--output-dir", str(tmp_path / "out")]) == 3
         assert "rank 70" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 4.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 4.5, 1e30, 2**15])
     def test_corrupt_architecture_record_is_three(self, tmp_path, sal_dir, run_dir,
                                                   capsys, bad):
         records = load_checkpoint(run_dir / "final.ckpt")
@@ -119,6 +122,31 @@ class TestExitCodes:
                      "--output-dir", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert "config/backbone_widths" in err and "Traceback" not in err
+
+    def test_unparseable_numeric_flag_is_two(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--lr", "x"])
+        assert info.value.code == 2
+        assert "argument --lr: expected a number, got 'x'" in capsys.readouterr().err
+
+    def test_fam_rate_the_upsampler_cannot_run_is_two(self, tmp_path, sal_dir, capsys):
+        argv = ["train", "--saliency-manifest", str(sal_dir / "manifest.tsv"),
+                "--output-dir", str(tmp_path / "out"), *MICRO_MODEL, "--fam-rates", "3",
+                *QUICK_TRAIN]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "fam_rates" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--weight-decay", "inf"),
+                                             ("--lr-drop-factor", "nan")])
+    def test_non_finite_training_float_is_two(self, tmp_path, sal_dir, capsys, flag, value):
+        argv = ["train", "--saliency-manifest", str(sal_dir / "manifest.tsv"),
+                "--output-dir", str(tmp_path / "out"), *MICRO_MODEL, *QUICK_TRAIN,
+                flag, value]
+        assert main(argv) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.ckpt"))
 
     def test_config_not_utf8_is_two(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -178,6 +206,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["train", "--learning-rate", "0.1"])
         assert info.value.code == 2
+
+
+class TestSettingsTable:
+    def test_one_row_per_setting_and_one_flag_per_row(self):
+        fields = {f.name for cls in (ModelConfig, TrainConfig, RunConfig)
+                  for f in dataclasses.fields(cls)} - {"model", "train"}
+        assert set(CONFIG_FIELDS) == fields
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        flags = {action.dest for action in commands.choices["train"]._actions}
+        assert {key for key, (section, *_) in CONFIG_FIELDS.items()
+                if section in ("model", "train") and key != "seed"} <= flags
 
 
 class TestConfigPrecedence:

@@ -54,6 +54,7 @@ class TestModelConfig:
         {"fam_rates": (2, 2, 4)},
         {"ppm_sizes": ()},
         {"ppm_sizes": (1, 3)},
+        {"fam_rates": (2, 3)},
     ])
     def test_invalid_settings_raise(self, kwargs):
         with pytest.raises(ConfigError):
@@ -102,6 +103,12 @@ class TestTrainConfig:
         {"lr_drop_epoch": -1},
         {"lr_drop_factor": 0.0},
         {"batch_size": 0},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"weight_decay": float("nan")},
+        {"weight_decay": float("inf")},
+        {"lr_drop_factor": float("nan")},
+        {"lr_drop_factor": float("inf")},
     ])
     def test_invalid_settings_raise(self, kwargs):
         with pytest.raises(ConfigError):
