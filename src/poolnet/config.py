@@ -131,6 +131,8 @@ class TrainConfig:
             raise ConfigError(f"lr_drop_factor must be > 0, got {self.lr_drop_factor}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -170,7 +172,15 @@ def _parser(convert, what: str):
     return parse
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 _parse_int = _parser(int, "an integer")
+_parse_seed = _parser(_non_negative_int, "a non-negative integer")
 _parse_float = _parser(float, "a number")
 _parse_int_tuple = _parser(
     lambda text: tuple(int(part) for part in text.split(",") if part.strip()),
@@ -195,7 +205,7 @@ CONFIG_FIELDS = {
     "lr_drop_factor": ("train", _parse_float, "divisor applied at the drop epoch", None),
     "batch_size": ("train", _parse_int, "samples per step (equal sizes required above 1)", None),
     "joint_edge": ("train", _parse_bool, "alternate saliency and edge steps", None),
-    "seed": ("train", _parse_int, "master random seed (default 0)", None),
+    "seed": ("train", _parse_seed, "master random seed (default 0)", None),
     "saliency_manifest": ("run", Path, None, "FILE"),
     "edge_manifest": ("run", Path, None, "FILE"),
     "checkpoint": ("run", Path, None, "CKPT"),

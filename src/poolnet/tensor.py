@@ -6,7 +6,23 @@ function that records its inputs and a vector-Jacobian product on the
 output tensor.  ``conv2d`` works in one channel-major layout: a
 (c*kh*kw, n*oh*ow) patch matrix, W (out_c, c*kh*kw) times it gives the
 (out_c, n*oh*ow) output, and the output gradient in that same layout feeds
-both d_weight and d_input, so at batch 1 no operand is transposed.  The three
+both d_weight and d_input, so at batch 1 no operand is transposed.
+
+The conv forward builds that patch matrix for one band of output rows at a
+time and GEMMs each band into its slice of the output, so a layer's whole
+patch matrix (70 MB for the 16->16 conv at 304x400) never exists and each
+band is still in cache when its GEMM reads it.  Every output column is its
+own dot product over c*kh*kw, so a band gives the bits of the whole GEMM as
+long as BLAS runs the same kernel on both.  Below about 1e6 multiply-adds
+OpenBLAS's sgemm switches to a small-matrix kernel that rounds differently,
+so no band's GEMM may fall under a 2e6 floor, and a layer whose whole GEMM is
+under it stays one GEMM.  The VJP still builds the whole patch matrix once:
+d_weight sums over every output column, and summing it band by band would
+add partial sums in another order and change its bits.
+
+``max_pool2d`` walks the rate x rate strided taps in row-major order under
+``np.argmax``'s first-maximum, first-NaN rule and copies values as bit
+patterns, so -0.0 and NaN payloads come out as argmax picks them.  The three
 average pools share one separable primitive, y = A_h x A_w^T with a dense
 averaging matrix per axis, and its one VJP.  Bilinear resize keeps the exact
 lerp form (``np.take`` gathers) in the forward; its VJP scatters each axis in
@@ -142,6 +158,15 @@ def _check_rank4(t: Tensor, role: str) -> None:
 # convolution
 # ---------------------------------------------------------------------------
 
+# Per-band minimums of conv2d's forward (see the module docstring): about
+# 512 KB of patch matrix; 512 columns, as each band's GEMM packs the whole
+# weight matrix again, which narrow deep maps would otherwise repeat too
+# often; and the 2e6 multiply-add floor that keeps OpenBLAS on one kernel.
+_BAND_BYTES = 1 << 19
+_BAND_MIN_COLS = 512
+_BAND_MIN_MACS = 2_000_000
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlate ``x`` with ``weight`` (out_c, in_c, k, k).
@@ -172,7 +197,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     else:
         xp = x.data
     w2 = weight.data.reshape(out_c, -1)
-    out = np.dot(w2, _im2col(xp, kh, kw, oh, ow, stride)).reshape(out_c, n, oh, ow)
+    edges = _band_edges(out_c, w2.shape[1], oh, ow, xp.itemsize)
+    if len(edges) == 2:
+        out = np.dot(w2, _im2col(xp, kh, kw, oh, ow, stride)).reshape(out_c, n, oh, ow)
+    else:
+        out = np.empty((out_c, n, oh, ow), dtype=np.result_type(xp, w2))
+        for b in range(n):
+            for r0, r1 in zip(edges[:-1], edges[1:]):
+                band = xp[b:b + 1, :, r0 * stride:(r1 - 1) * stride + kh]
+                cols = _im2col(band, kh, kw, r1 - r0, ow, stride)
+                out[:, b, r0:r1] = np.dot(w2, cols).reshape(out_c, r1 - r0, ow)
     if bias is not None:
         out += bias.data[:, None, None, None]
     # decided at record time: an input with no lineage, such as the image,
@@ -200,6 +234,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _op_output(out.transpose(1, 0, 2, 3), parents, vjp)
+
+
+def _band_edges(out_c: int, k: int, oh: int, ow: int, itemsize: int) -> list[int]:
+    """Output-row edges of conv2d's forward bands; ``[0, oh]`` is one GEMM.
+
+    ``rows`` is the largest of the three per-band minimums; ``oh`` splits
+    into ``oh // rows`` bands that differ by at most one row, so the last
+    band is never a sliver below the GEMM floor.
+    """
+    rows = max(_BAND_BYTES // (k * ow * itemsize), -(-_BAND_MIN_COLS // ow),
+               -(-_BAND_MIN_MACS // (out_c * k * ow)), 1)
+    bands = max(oh // rows, 1)
+    return [oh * i // bands for i in range(bands + 1)]
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int) -> np.ndarray:
@@ -278,22 +325,38 @@ def max_pool2d(x: Tensor, rate: int = 2) -> Tensor:
     _check_rank4(x, "max_pool2d input")
     if rate < 1:
         raise ShapeError(f"max_pool2d: rate must be >= 1, got {rate}")
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
     if h % rate or w % rate:
         raise ShapeError(f"max_pool2d: rate {rate} does not divide spatial size {h}x{w}")
     if rate == 1:
         return x
-    oh, ow = h // rate, w // rate
-    blocks = x.data.reshape(n, c, oh, rate, ow, rate).transpose(0, 1, 2, 4, 3, 5)
-    flat = blocks.reshape(n, c, oh, ow, rate * rate)
-    arg = np.argmax(flat, axis=4)
-    out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
+    taps = [(slice(None), slice(None), slice(i, None, rate), slice(j, None, rate))
+            for i in range(rate) for j in range(rate)]
+    # Values move as unsigned bit patterns, so a select is a wrapping
+    # multiply-add that copies every bit (-0.0, NaN payloads) unchanged.
+    uint = np.dtype(f"u{x.data.itemsize}")
+    out = x.data[taps[0]].copy()
+    bits = out.view(uint)
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(rate * rate - 1))
+    for t, tap in enumerate(taps[1:], start=1):
+        v = x.data[tap]
+        # np.argmax's rule in row-major tap order: a later tap wins when it is
+        # strictly greater, or NaN where the kept value is not; a tie, -0.0
+        # against +0.0 included, keeps the earlier tap.  v <= out is False
+        # exactly where v > out or either is NaN.
+        take = v <= out
+        np.greater(out == out, take, out=take)
+        step = v.view(uint) - bits
+        step *= take
+        bits += step
+        np.maximum(arg, take * arg.dtype.type(t), out=arg)
 
     def vjp(g: np.ndarray):
-        d_flat = np.zeros_like(flat)
-        np.put_along_axis(d_flat, arg[..., None], g[..., None], axis=4)
-        d_blocks = d_flat.reshape(n, c, oh, ow, rate, rate).transpose(0, 1, 2, 4, 3, 5)
-        return (d_blocks.reshape(n, c, h, w),)
+        g_bits = g.astype(x.dtype, copy=False).view(uint)
+        d = np.empty_like(x.data)
+        for t, tap in enumerate(taps):
+            np.multiply(g_bits, arg == t, out=d.view(uint)[tap])
+        return (d,)
 
     return _op_output(out, (x,), vjp)
 
@@ -456,10 +519,10 @@ def crop2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
-    mask = x.data > 0
 
     def vjp(g: np.ndarray):
-        return (g * mask,)
+        # out > 0 exactly where x > 0, NaN included
+        return (g * (out > 0),)
 
     return _op_output(out, (x,), vjp)
 

@@ -1,6 +1,6 @@
-"""Shared fixtures: finite-difference gradient checking, a reference
-convolution, a reference bilinear-resize gradient and brute-force metric
-oracles.
+"""Shared fixtures: finite-difference gradient checking, reference
+convolutions, a reference max pool, a reference bilinear-resize gradient and
+brute-force metric oracles.
 
 The oracles here are deliberately naive (python loops, explicit confusion
 counts) and independent of the library's vectorized implementations; tests
@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from poolnet.tensor import Tensor, _resample_axis, backward, mul, no_grad, reduce_sum
+from poolnet.tensor import (Tensor, _im2col, _resample_axis, backward, mul, no_grad,
+                            reduce_sum)
 
 # ---------------------------------------------------------------------------
 # finite-difference gradient checking
@@ -128,6 +129,53 @@ def reference_conv2d(x, w, b, stride, padding, g):
 @pytest.fixture
 def conv_reference():
     return reference_conv2d
+
+
+def reference_conv2d_forward(x, w, stride, padding):
+    """conv2d's output as one GEMM over the whole patch matrix, as the
+    forward computed it before it was banded; the banded forward must give
+    the same bytes."""
+    n = x.shape[0]
+    out_c, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (xp.shape[2] - kh) // stride + 1
+    ow = (xp.shape[3] - kw) // stride + 1
+    out = np.dot(w.reshape(out_c, -1), _im2col(xp, kh, kw, oh, ow, stride))
+    return out.reshape(out_c, n, oh, ow).transpose(1, 0, 2, 3)
+
+
+@pytest.fixture
+def conv_forward_reference():
+    return reference_conv2d_forward
+
+
+# ---------------------------------------------------------------------------
+# reference max pool
+# ---------------------------------------------------------------------------
+
+
+def reference_max_pool2d(x, rate, g):
+    """Max pooling and its input gradient for output gradient ``g``, by a
+    6-D transpose and ``np.argmax``: the first maximum of each block in
+    row-major order, or its first NaN, wins and takes the gradient.
+
+    Returns (out, d_x).
+    """
+    n, c, h, w = x.shape
+    oh, ow = h // rate, w // rate
+    blocks = x.reshape(n, c, oh, rate, ow, rate).transpose(0, 1, 2, 4, 3, 5)
+    flat = blocks.reshape(n, c, oh, ow, rate * rate)
+    arg = np.argmax(flat, axis=4)
+    out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
+    d_flat = np.zeros_like(flat)
+    np.put_along_axis(d_flat, arg[..., None], g[..., None], axis=4)
+    d_blocks = d_flat.reshape(n, c, oh, ow, rate, rate).transpose(0, 1, 2, 4, 3, 5)
+    return out, d_blocks.reshape(n, c, h, w)
+
+
+@pytest.fixture
+def max_pool_reference():
+    return reference_max_pool2d
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,34 @@ class TestExitCodes:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.ckpt"))
 
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_negative_seed_flag_is_two(self, tmp_path, sal_dir, capsys, command):
+        out = tmp_path / "out"
+        argv = (["synth", "--kind", "saliency", "--count", "1", "--output-dir", str(out)]
+                if command == "synth" else
+                ["train", "--saliency-manifest", str(sal_dir / "manifest.tsv"),
+                 "--output-dir", str(out), *MICRO_MODEL, *QUICK_TRAIN])
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--seed", "-1"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(
+            "argument --seed: expected a non-negative integer, got '-1'")
+        assert not out.exists()
+
+    def test_negative_seed_in_config_file_is_two(self, tmp_path, sal_dir, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = -1\n")
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(config), "--output-dir", str(out),
+                "--saliency-manifest", str(sal_dir / "manifest.tsv"), *MICRO_MODEL,
+                "--epochs", "1", "--lr-drop-epoch", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: expected a non-negative integer, got '-1'\n")
+        assert not out.exists()
+
     def test_config_not_utf8_is_two(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_bytes(b"epochs = 1 # \xe9poques\n")

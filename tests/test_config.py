@@ -109,6 +109,7 @@ class TestTrainConfig:
         {"weight_decay": float("inf")},
         {"lr_drop_factor": float("nan")},
         {"lr_drop_factor": float("inf")},
+        {"seed": -1},
     ])
     def test_invalid_settings_raise(self, kwargs):
         with pytest.raises(ConfigError):

@@ -2,14 +2,19 @@
 and error contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import poolnet.nn
+from poolnet.config import ModelConfig
 from poolnet.errors import ShapeError
+from poolnet.model import build_model
 from poolnet.tensor import (
     UPSAMPLE_FACTORS,
     Tensor,
+    _band_edges,
     add,
     adaptive_avg_pool2d,
     avg_pool2d,
@@ -132,6 +137,66 @@ class TestConv2d:
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("x_shape, out_c, k, stride, layout", [
+        ((1, 32, 6, 512), 32, 3, 1, "one-row"),
+        ((1, 32, 38, 50), 32, 3, 1, "uneven"),
+        ((1, 16, 150, 200), 16, 3, 2, "uneven"),
+        ((2, 32, 38, 50), 32, 3, 1, "uneven"),
+        ((2, 16, 152, 200), 1, 1, 1, "one-gemm"),
+    ])
+    def test_banded_forward_matches_one_gemm(self, conv_forward_reference,
+                                             x_shape, out_c, k, stride, layout):
+        rng = np.random.default_rng(sum(x_shape) + out_c + k + stride)
+        x = Tensor(rng.standard_normal(x_shape), dtype=np.float32)
+        weight = Tensor(rng.standard_normal((out_c, x_shape[1], k, k)), dtype=np.float32)
+        out = conv2d(x, weight, stride=stride, padding=k // 2)
+        rows = np.diff(_band_edges(out_c, x_shape[1] * k * k, *out.shape[2:], 4))
+        assert {"one-row": set(rows) == {1} and len(rows) > 1,
+                "uneven": len(set(rows)) == 2,
+                "one-gemm": len(rows) == 1}[layout], rows
+        want = conv_forward_reference(x.data, weight.data, stride, k // 2)
+        assert out.data.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("config, size", [
+        (ModelConfig(), (304, 400)),
+        (ModelConfig(enable_edge=True), (304, 400)),
+        (ModelConfig(ppm_sizes=(2, 3)), (64, 64)),
+    ], ids=["default-304x400", "edge-304x400", "ppm23-64x64"])
+    def test_banded_forward_matches_one_gemm_on_model_shapes(
+            self, conv_forward_reference, monkeypatch, config, size):
+        outcome = {}
+
+        def checked_conv2d(x, weight, bias=None, stride=1, padding=0):
+            key = (x.shape, weight.shape, stride, padding)
+            if key not in outcome:
+                got = conv2d(x, weight, stride=stride, padding=padding).data
+                want = conv_forward_reference(x.data, weight.data, stride, padding)
+                outcome[key] = got.tobytes() == np.ascontiguousarray(want).tobytes()
+            return conv2d(x, weight, bias, stride=stride, padding=padding)
+
+        monkeypatch.setattr(poolnet.nn, "conv2d", checked_conv2d)
+        model = build_model(config, seed=0)
+        image = Tensor(np.random.default_rng(0).random((1, 3) + size), dtype=np.float32)
+        with no_grad():
+            model(image)
+        assert len(outcome) >= 20
+        assert [key for key, same in outcome.items() if not same] == []
+
+    def test_forward_holds_no_whole_patch_matrix(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((1, 16, 304, 400)), dtype=np.float32)
+        weight = Tensor(rng.standard_normal((16, 16, 3, 3)), dtype=np.float32)
+        padded_bytes = 16 * 306 * 402 * 4
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = conv2d(x, weight, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole patch matrix would be 9x the input: 70 MB here
+        assert peak < out.data.nbytes + padded_bytes + 4 * 2**20
+
     def test_input_without_lineage_gets_no_gradient(self):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((1, 2, 6, 5))
@@ -241,6 +306,36 @@ class TestMaxPool:
     def test_indivisible_size_raises(self):
         with pytest.raises(ShapeError):
             max_pool2d(t(np.zeros((1, 1, 6, 6))), 4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["random", "integer-ties", "signed-zeros", "two-nans",
+                                      "nan-beside-inf", "rate-4", "rate-4-ties", "batch-2"])
+    def test_matches_argmax_reference(self, max_pool_reference, case, dtype):
+        rng = np.random.default_rng(len(case))
+        rate = 4 if case.startswith("rate-4") else 2
+        shape = (2, 3, 8, 12) if case == "batch-2" else (1, 3, 8, 12)
+        if case in ("random", "rate-4"):
+            data = rng.standard_normal(shape)
+        elif case == "signed-zeros":
+            data = rng.choice([-0.0, 0.0, -1.0], size=shape)
+        else:
+            data = rng.integers(-2, 3, size=shape).astype(np.float64)
+        data = data.astype(dtype)
+        if case == "two-nans":
+            payload = np.array(np.nan, dtype=dtype)
+            payload.view(f"u{payload.itemsize}")[...] += 1  # another NaN's bits
+            data[0, 0, 0, 1] = payload
+            data[0, 0, 1, 0] = np.nan
+            data[0, 1, 1, 1] = np.nan
+        if case == "nan-beside-inf":
+            data[0, 0, 0, :4] = [np.inf, np.nan, np.nan, np.inf]
+            data[0, 0, 1, :4] = [np.inf, -np.inf, -np.inf, np.inf]
+        x = Tensor(data, requires_grad=True, dtype=dtype)
+        out = max_pool2d(x, rate)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        want_out, want_dx = max_pool_reference(data, rate, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert out._vjp(g)[0].tobytes() == want_dx.tobytes()
 
 
 class TestBilinear:
@@ -366,6 +461,12 @@ class TestPointwise:
     def test_relu_clamps_negatives(self):
         out = relu(image([[-1.0, 0.0, 2.5]]))
         assert np.array_equal(out.data[0, 0, 0], [0.0, 0.0, 2.5])
+
+    def test_relu_gradient_passes_where_input_is_positive(self):
+        values = [-1.0, -0.0, 0.0, 2.5, math.nan, math.inf, -math.inf]
+        x = t([[[values]]], requires_grad=True)
+        g = np.full(x.shape, 3.0)
+        assert np.array_equal(relu(x)._vjp(g)[0][0, 0, 0], [0, 0, 0, 3, 0, 3, 0])
 
     def test_sigmoid_midpoint_and_symmetry(self):
         out = sigmoid(image([[0.0, 3.0, -3.0]]))
