@@ -29,9 +29,10 @@ from .tensor import (Tensor, backward, default_dtype, get_default_dtype,  # noqa
 from .losses import balanced_bce_with_logits, bce_with_logits  # noqa: E402
 from .metrics import (MetricsRecord, PRCurve, evaluate_pairs, f_measure, mae,  # noqa: E402
                       max_f, pr_sweep)
-from .model import ModelOutput, SaliencyNet, build_model, model_from_checkpoint  # noqa: E402
+from .model import (ModelOutput, SaliencyNet, build_model, model_from_checkpoint,  # noqa: E402
+                    save_model_with_config)
 from .optim import Adam, lr_at  # noqa: E402
-from .checkpoint import load_checkpoint, load_model, save_checkpoint, save_model  # noqa: E402
+from .checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from .data import (Manifest, Sample, load_manifest, pad_to_multiple,  # noqa: E402
                    synth_edge_dataset, synth_saliency_dataset)
 from .train import TrainResult, train_model  # noqa: E402
@@ -46,9 +47,9 @@ __all__ = [
     "Tensor", "TrainConfig", "TrainResult", "ablation_configs", "backward",
     "balanced_bce_with_logits", "bce_with_logits", "build_model",
     "default_dtype", "evaluate_pairs", "f_measure", "get_default_dtype",
-    "load_checkpoint", "load_manifest", "load_model", "lr_at", "mae", "max_f",
+    "load_checkpoint", "load_manifest", "lr_at", "mae", "max_f",
     "model_from_checkpoint", "no_grad", "pad_to_multiple", "pr_sweep",
-    "predict_sample", "run_inference", "save_checkpoint", "save_model",
+    "predict_sample", "run_inference", "save_checkpoint", "save_model_with_config",
     "set_default_dtype", "synth_edge_dataset", "synth_saliency_dataset",
     "train_model",
 ]

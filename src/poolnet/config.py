@@ -213,8 +213,12 @@ CONFIG_FIELDS = {
 }
 
 
-def read_config_file(path) -> dict[str, str]:
-    """Parse ``key = value`` lines; unknown keys and duplicates are errors."""
+def read_config_file(path) -> dict[str, object]:
+    """Parse ``key = value`` lines into typed values.
+
+    Unknown keys, duplicates and values their key's parser rejects are errors
+    naming the file and line.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -222,7 +226,7 @@ def read_config_file(path) -> dict[str, str]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config file is not valid UTF-8 text") from exc
-    values: dict[str, str] = {}
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -234,20 +238,21 @@ def read_config_file(path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = value
+        try:
+            values[key] = CONFIG_FIELDS[key][1](value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
     return values
 
 
-def build_run_config(file_values: Optional[dict[str, str]] = None,
+def build_run_config(file_values: Optional[dict[str, object]] = None,
                      overrides: Optional[dict[str, object]] = None) -> RunConfig:
-    """Defaults, then config-file values, then already-typed flag overrides."""
+    """Defaults, then config-file values, then flag overrides, all already typed."""
     sections: dict[str, dict] = {"model": {}, "train": {}, "run": {}}
-    for values, typed in ((file_values, False), (overrides, True)):
-        for key, value in (values or {}).items():
-            if key not in CONFIG_FIELDS:
-                raise ConfigError(f"unknown config key {key!r}")
-            section, parse = CONFIG_FIELDS[key][:2]
-            sections[section][key] = value if typed else parse(value)
+    for key, value in {**(file_values or {}), **(overrides or {})}.items():
+        if key not in CONFIG_FIELDS:
+            raise ConfigError(f"unknown config key {key!r}")
+        sections[CONFIG_FIELDS[key][0]][key] = value
     run = RunConfig(ModelConfig(**sections["model"]), TrainConfig(**sections["train"]),
                     **sections["run"])
     run.validate()

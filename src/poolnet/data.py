@@ -196,7 +196,6 @@ def crop_to_original(values: np.ndarray, sample: Sample) -> np.ndarray:
 class Manifest:
     """An ordered image/ground-truth pairing rooted at the manifest's directory."""
 
-    root: Path
     entries: list  # of (image_path, gt_path), absolute
     kind: str
 
@@ -231,7 +230,7 @@ def load_manifest(path, kind: str) -> Manifest:
         entries.append((image_path, gt_path))
     if not entries:
         raise DataError(f"{path}: manifest is empty")
-    return Manifest(root=root, entries=entries, kind=kind)
+    return Manifest(entries=entries, kind=kind)
 
 
 def write_manifest(path, entries) -> None:

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checkpoint import STATE_PREFIX, apply_records, load_checkpoint, save_model
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig
 from .errors import CheckpointError, ConfigError, ShapeError
 from .nn import Conv2d, Module, ModuleList
@@ -302,23 +302,22 @@ def build_model(config: ModelConfig, seed: int = 0) -> SaliencyNet:
     return model
 
 
-# Architecture hyperparameters travel inside checkpoints as state records so
-# a saved model can be rebuilt from the file alone.  Widths and switches are
+# A model file is a checkpoint container holding every parameter record, then
+# records under ``_state/``: the architecture, then whatever the trainer
+# stashes (optimizer moments, progress counters).  The architecture records
+# let a saved model be rebuilt from the file alone.  Widths and switches are
 # small integers, which float32 represents exactly.
 
-_CONFIG_KEYS = ("config/backbone_widths", "config/pyramid_channels",
-                "config/fam_rates", "config/ppm_sizes", "config/switches")
+STATE_PREFIX = "_state/"
+_WIDTH_FIELDS = ("backbone_widths", "pyramid_channels", "fam_rates", "ppm_sizes")
+_SWITCH_FIELDS = ("enable_ppm", "enable_ggf", "enable_fam", "enable_edge")
+_CONFIG_KEYS = (*(f"config/{name}" for name in _WIDTH_FIELDS), "config/switches")
 
 
 def config_to_state(config: ModelConfig) -> dict[str, np.ndarray]:
-    switches = [config.enable_ppm, config.enable_ggf, config.enable_fam, config.enable_edge]
-    return {
-        "config/backbone_widths": np.asarray(config.backbone_widths, dtype=np.float32),
-        "config/pyramid_channels": np.asarray(config.pyramid_channels, dtype=np.float32),
-        "config/fam_rates": np.asarray(config.fam_rates, dtype=np.float32),
-        "config/ppm_sizes": np.asarray(config.ppm_sizes, dtype=np.float32),
-        "config/switches": np.asarray(switches, dtype=np.float32),
-    }
+    values = [getattr(config, name) for name in _WIDTH_FIELDS]
+    values.append([getattr(config, name) for name in _SWITCH_FIELDS])
+    return {key: np.asarray(value, dtype=np.float32) for key, value in zip(_CONFIG_KEYS, values)}
 
 
 def config_from_state(state: dict[str, np.ndarray]) -> ModelConfig:
@@ -334,15 +333,11 @@ def config_from_state(state: dict[str, np.ndarray]) -> ModelConfig:
         return tuple(int(v) for v in values)
 
     switches = ints("config/switches")
-    if len(switches) != 4:
-        raise CheckpointError(f"architecture record 'config/switches' needs 4 values, "
-                              f"got {len(switches)}")
-    ppm, ggf, fam, edge = (bool(v) for v in switches)
-    return ModelConfig(backbone_widths=ints("config/backbone_widths"),
-                       pyramid_channels=ints("config/pyramid_channels"),
-                       enable_ppm=ppm, enable_ggf=ggf, enable_fam=fam, enable_edge=edge,
-                       fam_rates=ints("config/fam_rates"),
-                       ppm_sizes=ints("config/ppm_sizes"))
+    if len(switches) != len(_SWITCH_FIELDS):
+        raise CheckpointError(f"architecture record 'config/switches' needs "
+                              f"{len(_SWITCH_FIELDS)} values, got {len(switches)}")
+    return ModelConfig(**{name: ints(f"config/{name}") for name in _WIDTH_FIELDS},
+                       **{name: bool(v) for name, v in zip(_SWITCH_FIELDS, switches)})
 
 
 def _check_architecture(config: ModelConfig, stored: int) -> None:
@@ -370,25 +365,40 @@ def _check_architecture(config: ModelConfig, stored: int) -> None:
 
 def save_model_with_config(path, model: SaliencyNet,
                            extra_state: Optional[dict[str, np.ndarray]] = None) -> None:
+    """Write ``model`` as a model file; ``extra_state`` follows its architecture."""
     state = config_to_state(model.config)
-    if extra_state:
-        state.update(extra_state)
-    save_model(path, model, state)
+    state.update(extra_state or {})
+    records = {name: param.data for name, param in model.named_parameters()}
+    records.update((STATE_PREFIX + key, np.asarray(arr)) for key, arr in state.items())
+    save_checkpoint(path, records)
 
 
 def model_from_checkpoint(path) -> tuple[SaliencyNet, dict[str, np.ndarray]]:
-    """Rebuild the architecture recorded in a checkpoint and load its weights.
+    """Rebuild the architecture recorded in a model file and load its weights.
 
-    The architecture records are consumed here; the returned state holds only
-    what the trainer stashed (optimizer moments, progress counters).
+    Every model parameter must be present with a matching shape, and every
+    other record must be a ``_state/`` one.  The architecture records are
+    consumed here; the returned state holds only what the trainer stashed
+    (optimizer moments, progress counters).
     """
-    records = load_checkpoint(path)
-    state = {name[len(STATE_PREFIX):]: arr for name, arr in records.items()
+    params = load_checkpoint(path)
+    stored = sum(arr.size for arr in params.values())
+    state = {name[len(STATE_PREFIX):]: params.pop(name) for name in list(params)
              if name.startswith(STATE_PREFIX)}
     config = config_from_state(state)
-    _check_architecture(config, sum(arr.size for arr in records.values()))
+    _check_architecture(config, stored)
     model = build_model(config)
-    state = apply_records(model, records)
+    for name, param in model.named_parameters():
+        if name not in params:
+            raise CheckpointError(f"checkpoint is missing parameter {name!r}")
+        arr = params.pop(name)
+        if arr.shape != param.data.shape:
+            raise CheckpointError(f"parameter {name!r}: checkpoint shape {arr.shape} "
+                                  f"does not match model shape {param.data.shape}")
+        param.data = np.ascontiguousarray(arr, dtype=param.dtype)
+    if params:
+        extras = ", ".join(sorted(params))
+        raise CheckpointError(f"checkpoint has records unknown to the model: {extras}")
     for key in _CONFIG_KEYS:
-        state.pop(key, None)
+        del state[key]
     return model, state

@@ -9,9 +9,7 @@ from poolnet.checkpoint import (
     MAGIC,
     MAX_RANK,
     load_checkpoint,
-    load_model,
     save_checkpoint,
-    save_model,
 )
 from poolnet.config import ModelConfig
 from poolnet.errors import CheckpointError
@@ -127,16 +125,23 @@ class TestModelRoundTrip:
         return ModelConfig(backbone_widths=(4, 6, 6, 8, 8), ppm_sizes=(2,),
                            fam_rates=(2, 4))
 
+    def saved_records(self, tmp_path):
+        """The records of a saved small model, for tests that corrupt them."""
+        path = tmp_path / "m.ckpt"
+        save_model_with_config(path, build_model(self.small_config(), seed=0))
+        return path, load_checkpoint(path)
+
     def test_save_load_restores_every_parameter(self, tmp_path):
         model = build_model(self.small_config(), seed=3)
         path = tmp_path / "m.ckpt"
-        save_model(path, model)
-        other = build_model(self.small_config(), seed=9)
+        save_model_with_config(path, model)
+        # the loader builds with seed 0, so equal weights can only come from the file
+        fresh = build_model(self.small_config(), seed=0)
         assert any(not np.array_equal(p.data, q.data)
-                   for p, q in zip(model.parameters(), other.parameters()))
-        state = load_model(path, other)
+                   for p, q in zip(model.parameters(), fresh.parameters()))
+        reloaded, state = model_from_checkpoint(path)
         assert state == {}
-        for p, q in zip(model.parameters(), other.parameters()):
+        for p, q in zip(model.parameters(), reloaded.parameters()):
             assert np.array_equal(p.data, q.data)
 
     def test_forward_is_bitwise_identical_after_round_trip(self, tmp_path):
@@ -144,48 +149,40 @@ class TestModelRoundTrip:
         x = Tensor(np.random.default_rng(1).uniform(size=(1, 3, 32, 32)).astype(np.float32))
         before = model(x).saliency.data.copy()
         path = tmp_path / "m.ckpt"
-        save_model(path, model)
-        reloaded = build_model(self.small_config(), seed=9)
-        load_model(path, reloaded)
+        save_model_with_config(path, model)
+        reloaded, _ = model_from_checkpoint(path)
         after = reloaded(x).saliency.data
         assert np.array_equal(before, after)
 
     def test_state_records_ride_alongside(self, tmp_path):
         model = build_model(self.small_config(), seed=0)
         path = tmp_path / "m.ckpt"
-        save_model(path, model, state={"progress/epoch": np.array([4.0])})
-        fresh = build_model(self.small_config(), seed=1)
-        state = load_model(path, fresh)
+        save_model_with_config(path, model, extra_state={"progress/epoch": np.array([4.0])})
+        _, state = model_from_checkpoint(path)
         assert list(state) == ["progress/epoch"]
         assert state["progress/epoch"][0] == 4.0
 
     def test_missing_parameter_raises(self, tmp_path):
-        model = build_model(self.small_config(), seed=0)
-        records = {name: p.data for name, p in model.named_parameters()}
-        dropped = next(iter(records))
-        del records[dropped]
-        path = tmp_path / "m.ckpt"
+        path, records = self.saved_records(tmp_path)
+        del records[next(iter(records))]
         save_checkpoint(path, records)
         with pytest.raises(CheckpointError, match="missing"):
-            load_model(path, build_model(self.small_config(), seed=0))
+            model_from_checkpoint(path)
 
     def test_wrong_architecture_shape_raises(self, tmp_path):
-        model = build_model(self.small_config(), seed=0)
-        path = tmp_path / "m.ckpt"
-        save_model(path, model)
-        wider = build_model(ModelConfig(backbone_widths=(6, 6, 6, 8, 8),
-                                        ppm_sizes=(2,), fam_rates=(2, 4)), seed=0)
-        with pytest.raises(CheckpointError):
-            load_model(path, wider)
+        path, records = self.saved_records(tmp_path)
+        name = next(iter(records))
+        records[name] = np.zeros((2, *records[name].shape), dtype=np.float32)
+        save_checkpoint(path, records)
+        with pytest.raises(CheckpointError, match="does not match model shape"):
+            model_from_checkpoint(path)
 
     def test_unknown_record_raises(self, tmp_path):
-        model = build_model(self.small_config(), seed=0)
-        records = {name: p.data for name, p in model.named_parameters()}
+        path, records = self.saved_records(tmp_path)
         records["stray"] = np.zeros(3, dtype=np.float32)
-        path = tmp_path / "m.ckpt"
         save_checkpoint(path, records)
         with pytest.raises(CheckpointError, match="stray"):
-            load_model(path, build_model(self.small_config(), seed=0))
+            model_from_checkpoint(path)
 
 
 class TestSelfDescribingCheckpoints:
@@ -213,7 +210,8 @@ class TestSelfDescribingCheckpoints:
         model = build_model(ModelConfig(backbone_widths=(4, 6, 6, 8, 8),
                                         ppm_sizes=(2,), fam_rates=(2, 4)), seed=0)
         path = tmp_path / "m.ckpt"
-        save_model(path, model)  # plain save: no architecture records
+        # parameter records only: no architecture records
+        save_checkpoint(path, {name: p.data for name, p in model.named_parameters()})
         with pytest.raises(CheckpointError):
             model_from_checkpoint(path)
 

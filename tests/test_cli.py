@@ -173,7 +173,7 @@ class TestExitCodes:
                 "--epochs", "1", "--lr-drop-epoch", "0"]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "config error: expected a non-negative integer, got '-1'\n")
+            f"config error: {config}:1: seed: expected a non-negative integer, got '-1'\n")
         assert not out.exists()
 
     def test_config_not_utf8_is_two(self, tmp_path, capsys):

@@ -132,8 +132,13 @@ enable_edge = true
 backbone_widths = 4, 8, 8, 16, 16
 """)
         values = read_config_file(path)
-        assert values == {"lr": "0.002", "epochs": "3", "enable_edge": "true",
-                          "backbone_widths": "4, 8, 8, 16, 16"}
+        assert values == {"lr": 0.002, "epochs": 3, "enable_edge": True,
+                          "backbone_widths": (4, 8, 8, 16, 16)}
+
+    def test_bad_value_names_file_line_and_key(self, tmp_path):
+        path = self.write(tmp_path, "epochs = 3\nlr = x\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: lr: expected a number, got 'x'"):
+            read_config_file(path)
 
     def test_unknown_key_names_file_and_line(self, tmp_path):
         path = self.write(tmp_path, "lr = 0.1\nlearning_rate = 0.2\n")

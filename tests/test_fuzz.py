@@ -11,12 +11,7 @@ import struct
 import numpy as np
 import pytest
 
-from poolnet.checkpoint import (
-    MAGIC,
-    STATE_PREFIX,
-    apply_records,
-    load_checkpoint,
-)
+from poolnet.checkpoint import MAGIC
 from poolnet.config import ModelConfig, build_run_config, read_config_file
 from poolnet.data import (
     load_entry,
@@ -26,28 +21,13 @@ from poolnet.data import (
     synth_saliency_dataset,
 )
 from poolnet.errors import PoolNetError
-from poolnet.model import build_model, config_from_state, save_model_with_config
+from poolnet.model import build_model, model_from_checkpoint, save_model_with_config
 
 MUTATIONS_PER_KIND = 150
-# small enough that a model of this shape is cheap to rebuild for every read
+# small enough that a model of this shape is cheap to rebuild for every read;
+# a fuzzed width stays cheap too, as the reader bounds every width by the
+# number of values the file stores
 MICRO = ModelConfig(backbone_widths=(4, 6, 6, 8, 8), ppm_sizes=(2,), fam_rates=(2, 4))
-
-
-def read_checkpoint(path):
-    """Everything ``poolnet infer`` does with a checkpoint before the forward.
-
-    The weights go into a model of the original shape rather than one built
-    from the (possibly fuzzed) architecture records, so a flipped width
-    cannot ask for gigabytes.
-    """
-    records = load_checkpoint(path)
-    state = {name[len(STATE_PREFIX):]: arr for name, arr in records.items()
-             if name.startswith(STATE_PREFIX)}
-    config_from_state(state).validate()
-    for key in list(records):
-        if key.startswith(STATE_PREFIX + "config/"):
-            del records[key]
-    apply_records(build_model(MICRO), records)
 
 
 def read_manifest(path):
@@ -61,7 +41,7 @@ READERS = {
     "pgm": load_map,
     "manifest": read_manifest,
     "config": lambda path: build_run_config(read_config_file(path)),
-    "checkpoint": read_checkpoint,
+    "checkpoint": model_from_checkpoint,  # what `poolnet infer` reads
 }
 
 
@@ -139,5 +119,5 @@ def test_rank_field_mutation_is_typed(valid_files, tmp_path, rank):
     # a zero dim leaves the record without payload, so only the rank is off
     dims = struct.pack(f"<{min(rank, 70)}I", 0, *[1] * (min(rank, 70) - 1))
     blob = original[:rank_at] + struct.pack("<I", rank) + dims + original[end:]
-    assert escapes(read_checkpoint, tmp_path / "rank.ckpt", blob) is None
+    assert escapes(model_from_checkpoint, tmp_path / "rank.ckpt", blob) is None
 
