@@ -23,6 +23,8 @@ from .errors import DataError, NumericError
 
 MANIFEST_KINDS = ("saliency", "edge")
 PAD_MULTIPLE = 16
+_HEADER_BYTES = 4096
+_HEADER_DIGITS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -68,15 +70,13 @@ def _read_header_int(blob: bytes, pos: int, path: Path) -> tuple[int, int]:
         pos += 1
     if start == pos:
         raise DataError(f"{path}: malformed header, expected an integer")
+    if pos - start > _HEADER_DIGITS:  # int() refuses past 4,300 digits
+        raise DataError(f"{path}: malformed header, {pos - start}-digit integer")
     return int(blob[start:pos]), pos
 
 
-def _parse_pnm(path) -> tuple[int, np.ndarray]:
-    """Returns (channels, uint8 array of shape (H, W) or (H, W, 3))."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"image file not found: {path}")
-    blob = path.read_bytes()
+def _parse_header(blob: bytes, path: Path) -> tuple[int, int, int, int]:
+    """(channels, height, width, offset of the pixel data) of a P5/P6 blob."""
     magic = blob[:2]
     if magic == b"P5":
         channels = 1
@@ -94,7 +94,21 @@ def _parse_pnm(path) -> tuple[int, np.ndarray]:
         raise DataError(f"{path}: only 8-bit depth (maxval 255) is supported, got {maxval}")
     if pos >= len(blob) or blob[pos] not in b" \t\r\n":
         raise DataError(f"{path}: malformed header, expected whitespace before pixel data")
-    pos += 1
+    return channels, height, width, pos + 1
+
+
+def _existing(path) -> Path:
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"image file not found: {path}")
+    return path
+
+
+def _parse_pnm(path) -> tuple[int, np.ndarray]:
+    """Returns (channels, uint8 array of shape (H, W) or (H, W, 3))."""
+    path = _existing(path)
+    blob = path.read_bytes()
+    channels, height, width, pos = _parse_header(blob, path)
     need = width * height * channels
     payload = blob[pos:pos + need]
     if len(payload) < need:
@@ -103,6 +117,22 @@ def _parse_pnm(path) -> tuple[int, np.ndarray]:
     arr = np.frombuffer(payload, dtype=np.uint8)
     shape = (height, width) if channels == 1 else (height, width, 3)
     return channels, arr.reshape(shape)
+
+
+def image_size(path) -> tuple[int, int]:
+    """(H, W) of a PGM/PPM file, read from its header without the pixel data."""
+    path = _existing(path)
+    with open(path, "rb") as fh:
+        blob = fh.read(_HEADER_BYTES)
+        try:
+            _, height, width, _ = _parse_header(blob, path)
+        except DataError:
+            # a header parsed in full ends before the prefix does, so only a
+            # failure on a whole prefix can be a long header cut short
+            if len(blob) < _HEADER_BYTES:
+                raise
+            _, height, width, _ = _parse_header(blob + fh.read(), path)
+    return height, width
 
 
 def load_image(path) -> np.ndarray:
@@ -168,11 +198,16 @@ class Sample:
     pad: tuple[int, int] = (0, 0)
 
 
+def padded_size(h: int, w: int, multiple: int = PAD_MULTIPLE) -> tuple[int, int]:
+    """The (H, W) that ``pad_to_multiple`` gives an h x w sample."""
+    return h + (-h) % multiple, w + (-w) % multiple
+
+
 def pad_to_multiple(sample: Sample, multiple: int = PAD_MULTIPLE) -> Sample:
     """Replicate-pad the image and zero-pad the target on the right/bottom."""
     _, h, w = sample.image.shape
-    pad_bottom = (-h) % multiple
-    pad_right = (-w) % multiple
+    padded_h, padded_w = padded_size(h, w, multiple)
+    pad_bottom, pad_right = padded_h - h, padded_w - w
     if pad_bottom == 0 and pad_right == 0:
         return sample
     spec = ((0, 0), (0, pad_bottom), (0, pad_right))

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Manifest, Sample, crop_to_original, load_entry, pad_to_multiple, save_map
-from .model import SaliencyNet
+from .model import SaliencyNet, check_manifest_sizes
 from .tensor import Tensor, no_grad, sigmoid
 
 
@@ -40,7 +40,9 @@ def predict_manifest(model: SaliencyNet, manifest: Manifest) -> list[np.ndarray]
 
 def run_inference(model: SaliencyNet, manifest: Manifest, output_dir) -> list[Path]:
     """Write one 8-bit saliency map per entry (named after the image stem),
-    plus ``<stem>_edge.pgm`` when the edge branch is active."""
+    plus ``<stem>_edge.pgm`` when the edge branch is active.  Every image's
+    size is checked from its header before the first map is written."""
+    check_manifest_sizes(model.config, manifest)
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     written = []

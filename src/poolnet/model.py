@@ -25,6 +25,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig
+from .data import Manifest, image_size, padded_size
 from .errors import CheckpointError, ConfigError, ShapeError
 from .nn import Conv2d, Module, ModuleList
 from .tensor import (Tensor, add, adaptive_avg_pool2d, avg_pool2d, concat_channels,
@@ -253,16 +254,7 @@ class SaliencyNet(Module):
     def forward(self, x: Tensor) -> ModelOutput:
         if x.data.ndim != 4 or x.shape[1] != 3:
             raise ShapeError(f"model input must be (batch, 3, height, width), got {x.shape}")
-        _, _, h, w = x.shape
-        if h % 16 or w % 16:
-            raise ShapeError(f"model input size {h}x{w} must be divisible by 16")
-        if self.config.enable_ppm:
-            # the deepest map (stride 16) must hold the largest pooling grid
-            low = 16 * max(self.config.ppm_sizes)
-            if min(h, w) < low:
-                raise ShapeError(f"model input size {h}x{w} is below the {low}x{low} minimum "
-                                 f"for ppm_sizes {self.config.ppm_sizes}; use larger images "
-                                 f"or smaller ppm_sizes")
+        check_input_size(self.config, *x.shape[2:])
 
         feats = self.backbone(x)
         if self.config.enable_ppm:
@@ -292,6 +284,29 @@ class SaliencyNet(Module):
             head_in = out2
         logits = upsample_bilinear(self.head(head_in), 2)
         return ModelOutput(saliency=logits, edges=edge_sides)
+
+
+def check_input_size(config: ModelConfig, h: int, w: int, name: str = "model input") -> None:
+    """Raise ``ShapeError`` unless the network takes an h x w input."""
+    if h % 16 or w % 16:
+        raise ShapeError(f"{name} size {h}x{w} must be divisible by 16")
+    if config.enable_ppm:
+        # the deepest map (stride 16) must hold the largest pooling grid
+        low = 16 * max(config.ppm_sizes)
+        if min(h, w) < low:
+            raise ShapeError(f"{name} size {h}x{w} is below the {low}x{low} minimum "
+                             f"for ppm_sizes {config.ppm_sizes}; use larger images "
+                             f"or smaller ppm_sizes")
+
+
+def check_manifest_sizes(config: ModelConfig, manifest: Manifest) -> None:
+    """``check_input_size`` on every manifest image's padded size.
+
+    Only image headers are read, so a run fails here before any work.
+    """
+    for image_path, _ in manifest.entries:
+        check_input_size(config, *padded_size(*image_size(image_path)),
+                         name=f"{image_path}: padded input")
 
 
 def build_model(config: ModelConfig, seed: int = 0) -> SaliencyNet:

@@ -18,7 +18,10 @@ OpenBLAS's sgemm switches to a small-matrix kernel that rounds differently,
 so no band's GEMM may fall under a 2e6 floor, and a layer whose whole GEMM is
 under it stays one GEMM.  The VJP still builds the whole patch matrix once:
 d_weight sums over every output column, and summing it band by band would
-add partial sums in another order and change its bits.
+add partial sums in another order and change its bits.  It re-pads that
+matrix's input from ``x`` with the forward's zero border (``_pad``) and
+holds no copy of its own, so a recorded conv keeps only its output alive
+beyond what its parents already hold.
 
 ``max_pool2d`` walks the rate x rate strided taps in row-major order under
 ``np.argmax``'s first-maximum, first-NaN rule and copies values as bit
@@ -192,10 +195,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} does not fit input {h}x{w} with padding {padding}")
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
+    xp = _pad(x.data, padding)
     w2 = weight.data.reshape(out_c, -1)
     edges = _band_edges(out_c, w2.shape[1], oh, ow, xp.itemsize)
     if len(edges) == 2:
@@ -214,14 +214,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     need_dx = x.requires_grad or x._vjp is not None
 
     def vjp(g: np.ndarray):
-        # rebuilt rather than kept from the forward: every layer's patch
-        # matrix held until backward would dominate peak memory
+        # the padded input and its patch matrix are rebuilt from x rather
+        # than kept from the forward: x already holds the same values, and
+        # every layer's copies held until backward would dominate peak memory
         g2 = g.transpose(1, 0, 2, 3).reshape(out_c, -1)
-        d_weight = np.dot(g2, _im2col(xp, kh, kw, oh, ow, stride).T).reshape(weight.shape)
+        d_weight = np.dot(g2, _im2col(_pad(x.data, padding), kh, kw, oh, ow, stride).T)
+        d_weight = d_weight.reshape(weight.shape)
         d_x = None
         if need_dx:
             d_cols = np.dot(w2.T, g2).reshape(c, kh, kw, n, oh, ow)
-            d_xp = np.zeros((c, n) + xp.shape[2:], dtype=xp.dtype)
+            d_xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
             for i in range(kh):
                 for j in range(kw):
                     d_xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d_cols[:, i, j]
@@ -234,6 +236,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _op_output(out.transpose(1, 0, 2, 3), parents, vjp)
+
+
+def _pad(a: np.ndarray, padding: int) -> np.ndarray:
+    """``a`` inside a zero border ``padding`` wide on both spatial axes."""
+    if not padding:
+        return a
+    n, c, h, w = a.shape
+    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=a.dtype)
+    out[:, :, padding:padding + h, padding:padding + w] = a
+    return out
 
 
 def _band_edges(out_c: int, k: int, oh: int, ow: int, itemsize: int) -> list[int]:

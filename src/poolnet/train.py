@@ -5,6 +5,12 @@ the smaller dataset, so an epoch has twice as many steps as the saliency set
 has batches.  Images keep their native sizes (padded to a multiple of 16,
 never resized); iteration follows manifest order and all randomness comes
 from the configured seed, making identical-seed runs bitwise identical.
+
+One step's autograd graph is alive at a time: ``_train_step`` owns the
+forward's outputs and the loss, so the graph is freed when it returns,
+before the next batch is loaded and its forward builds another.  Before
+the first step, every manifest image's padded size is checked against the
+model's minimum from its header alone.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .config import TrainConfig
 from .data import Manifest, Sample, atomic_open, load_entry, pad_to_multiple
 from .errors import ConfigError, DataError, NumericError
 from .losses import balanced_bce_with_logits, bce_with_logits
-from .model import SaliencyNet, save_model_with_config
+from .model import SaliencyNet, check_manifest_sizes, save_model_with_config
 from .optim import Adam, lr_at
 from .tensor import Tensor, add, backward
 
@@ -112,6 +118,8 @@ def train_model(model: SaliencyNet, config: TrainConfig, saliency_data: Manifest
             raise ConfigError("joint_edge training requires an edge manifest")
         if edge_data.kind != "edge":
             raise DataError(f"edge manifest has kind {edge_data.kind!r}")
+        check_manifest_sizes(model.config, edge_data)
+    check_manifest_sizes(model.config, saliency_data)
 
     # an edge-equipped model always has branch-private parameters the current
     # loss cannot reach (side heads under the saliency loss, the fusion head
@@ -151,18 +159,7 @@ def train_model(model: SaliencyNet, config: TrainConfig, saliency_data: Manifest
                 x, t = _stack_batch(saliency_data, saliency_batches[batch_index], rng)
             else:
                 x, t = _stack_batch(edge_data, edge_batches[batch_index], rng)
-            out = model(Tensor(x))
-            if kind == "sal":
-                loss = bce_with_logits(out.saliency, t)
-            else:
-                loss = _edge_loss(out.edges, t)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise NumericError(f"non-finite {kind} loss at epoch {epoch}, "
-                                   f"step {optimizer.step_count + 1}")
-            optimizer.zero_grad()
-            backward(loss)
-            optimizer.step()
+            loss_value = _train_step(model, optimizer, kind, x, t, epoch)
             records.append(StepRecord(epoch=epoch, step=optimizer.step_count,
                                       loss_type=kind, loss_value=loss_value, lr=lr))
             if max_steps is not None and optimizer.step_count >= max_steps:
@@ -184,6 +181,24 @@ def train_model(model: SaliencyNet, config: TrainConfig, saliency_data: Manifest
         checkpoints.append(final)
         write_train_log(output_dir / "train_log.csv", records)
     return TrainResult(model=model, steps=records, checkpoints=checkpoints)
+
+
+def _train_step(model: SaliencyNet, optimizer: Adam, kind: str, x: np.ndarray,
+                t: np.ndarray, epoch: int) -> float:
+    """One forward, loss, backward and Adam step; its graph dies with this frame."""
+    out = model(Tensor(x))
+    if kind == "sal":
+        loss = bce_with_logits(out.saliency, t)
+    else:
+        loss = _edge_loss(out.edges, t)
+    loss_value = loss.item()
+    if not np.isfinite(loss_value):
+        raise NumericError(f"non-finite {kind} loss at epoch {epoch}, "
+                           f"step {optimizer.step_count + 1}")
+    optimizer.zero_grad()
+    backward(loss)
+    optimizer.step()
+    return loss_value
 
 
 def _save(path: Path, model: SaliencyNet, optimizer: Adam, epoch: int) -> None:

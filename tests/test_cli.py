@@ -13,7 +13,7 @@ import pytest
 from poolnet.checkpoint import load_checkpoint, save_checkpoint
 from poolnet.cli import build_parser, main
 from poolnet.config import CONFIG_FIELDS, ModelConfig, RunConfig, TrainConfig
-from poolnet.data import load_map
+from poolnet.data import load_map, write_manifest
 from poolnet.model import model_from_checkpoint, save_model_with_config
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -208,6 +208,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("data error:") and "80x80 minimum" in err
+
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    def test_small_later_image_is_three_before_any_output(self, tmp_path, run_dir, capsys,
+                                                          command):
+        # the micro model needs 32x32; the second image pads to 16x16
+        data = tmp_path / "data"
+        for i, size in enumerate((32, 16)):
+            assert main(["synth", "--kind", "saliency", "--count", "1", "--size", str(size),
+                         "--seed", str(i), "--output-dir", str(data / str(i))]) == 0
+        write_manifest(data / "manifest.tsv", [(f"{i}/img_0000.ppm", f"{i}/gt_0000.pgm")
+                                               for i in range(2)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--saliency-manifest", str(data / "manifest.tsv"),
+                      "--output-dir", str(out), *MICRO_MODEL, *QUICK_TRAIN],
+            "infer": ["infer", "--checkpoint", str(run_dir / "final.ckpt"),
+                      "--manifest", str(data / "manifest.tsv"), "--output-dir", str(out)],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("data error:") and "1/img_0000.ppm" in err and "32x32 minimum" in err
+        assert not out.exists()
 
     def test_poisoned_weights_are_four(self, tmp_path, sal_dir, run_dir, capsys):
         model, state = model_from_checkpoint(run_dir / "final.ckpt")

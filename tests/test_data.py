@@ -10,6 +10,7 @@ import poolnet.data as data_mod
 from poolnet.data import (
     Sample,
     crop_to_original,
+    image_size,
     load_entry,
     load_image,
     load_manifest,
@@ -72,7 +73,8 @@ class TestPnmRead:
         (b"P5\n2 2\n255\n\x00\x00\x00", "truncated payload"),
         (b"P5\n0 2\n255\n", "zero width"),
         (b"P5\n2\n255\n\x00\x00", "missing height"),
-    ], ids=["magic", "depth", "truncated", "dims", "header"])
+        (b"P5\n2 2\n" + b"2" * 5000 + b"\n", "integer past int()'s digit limit"),
+    ], ids=["magic", "depth", "truncated", "dims", "header", "digits"])
     def test_malformed_files_raise(self, tmp_path, blob, reason):
         path = tmp_path / "bad.pnm"
         path.write_bytes(blob)
@@ -82,6 +84,29 @@ class TestPnmRead:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(DataError):
             load_map(tmp_path / "absent.pgm")
+
+    def test_image_size_reads_the_header_alone(self, tmp_path):
+        path = tmp_path / "c.ppm"
+        # pixel data cut short: the size is still known, the image is not
+        path.write_bytes(b"P6\n# c\n5 3\n255\n" + bytes(7))
+        assert image_size(path) == (3, 5)
+        with pytest.raises(DataError, match="truncated"):
+            load_image(path)
+
+    def test_image_size_reads_past_a_long_header(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n#" + b"x" * 5000 + b"\n3 2\n255\n" + bytes(6))
+        assert image_size(path) == (2, 3) == load_map(path).shape
+
+    @pytest.mark.parametrize("blob", [b"P4\n1 1\n255\n\x00", b"P5\n0 2\n255\n",
+                                      b"P5\n2 2\n25" + b"5" * 5000, b"", None],
+                             ids=["magic", "dims", "long-maxval", "empty", "absent"])
+    def test_image_size_rejects_bad_headers(self, tmp_path, blob):
+        path = tmp_path / "bad.pnm"
+        if blob is not None:
+            path.write_bytes(blob)
+        with pytest.raises(DataError):
+            image_size(path)
 
 
 class TestPnmWrite:

@@ -197,6 +197,21 @@ class TestConv2d:
         # the whole patch matrix would be 9x the input: 70 MB here
         assert peak < out.data.nbytes + padded_bytes + 4 * 2**20
 
+    def test_recorded_conv_keeps_no_padded_copy(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((1, 16, 304, 400)), requires_grad=True, dtype=np.float32)
+        weight = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True,
+                        dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = conv2d(x, weight, padding=1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the VJP re-pads from x; a kept padded input would add 7.9 MB
+        assert out._vjp is not None
+        assert held <= out.data.nbytes + 2**20
+
     def test_input_without_lineage_gets_no_gradient(self):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((1, 2, 6, 5))

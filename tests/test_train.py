@@ -1,13 +1,15 @@
 """Training loop: alternation, augmentation, determinism, checkpoints,
 resume, and optimizer health."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from poolnet.config import ModelConfig, TrainConfig
 from poolnet.data import save_image, save_map, synth_saliency_sample, write_manifest
 from poolnet.data import load_manifest, synth_edge_dataset, synth_saliency_dataset
-from poolnet.errors import ConfigError, DataError, NumericError
+from poolnet.errors import ConfigError, DataError, NumericError, ShapeError
 from poolnet.model import build_model, model_from_checkpoint
 from poolnet.optim import lr_at
 from poolnet.train import alternation_schedule, augment_hflip, train_model
@@ -159,6 +161,34 @@ class TestTrainingLoop:
         model.head.weight.data[:] = np.inf
         with pytest.raises(NumericError):
             train_model(model, tiny_train(), sal4)
+
+    def test_one_steps_graph_alive_at_a_time(self, tmp_path):
+        manifest = synth_saliency_dataset(tmp_path, 3, 96, seed=3)
+        peaks = {}
+        for steps in (1, 3):
+            model = build_model(ModelConfig(), seed=3)
+            tracemalloc.start()
+            try:
+                train_model(model, tiny_train(seed=3), manifest, max_steps=steps)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a step's graph held while the next forward runs would add about 10 MB
+        assert peaks[3] <= peaks[1] + 2**20
+
+    def test_too_small_image_fails_before_any_step(self, tmp_path):
+        for i, size in enumerate((64, 16)):
+            image, target = synth_saliency_sample(size, seed=0, index=i)
+            save_image(image, tmp_path / f"img_{i}.ppm")
+            save_map(target, tmp_path / f"gt_{i}.pgm")
+        write_manifest(tmp_path / "manifest.tsv",
+                       [("img_0.ppm", "gt_0.pgm"), ("img_1.ppm", "gt_1.pgm")])
+        manifest = load_manifest(tmp_path / "manifest.tsv", "saliency")
+        model = build_model(tiny_config(), seed=0)
+        with pytest.raises(ShapeError, match=r"img_1\.ppm: padded input size 16x16 is below"):
+            train_model(model, tiny_train(), manifest, output_dir=tmp_path / "run")
+        # the output directory is made before the first step
+        assert not (tmp_path / "run").exists()
 
     def test_mixed_size_batch_raises(self, tmp_path):
         for i, size in enumerate((32, 48)):
