@@ -119,19 +119,46 @@ def _parse_pnm(path) -> tuple[int, np.ndarray]:
     return channels, arr.reshape(shape)
 
 
-def image_size(path) -> tuple[int, int]:
-    """(H, W) of a PGM/PPM file, read from its header without the pixel data."""
-    path = _existing(path)
+def _read_header(path: Path) -> tuple[int, int, int, int]:
+    """``_parse_header`` of a file, reading the pixel data only past a long header."""
     with open(path, "rb") as fh:
         blob = fh.read(_HEADER_BYTES)
         try:
-            _, height, width, _ = _parse_header(blob, path)
+            return _parse_header(blob, path)
         except DataError:
             # a header parsed in full ends before the prefix does, so only a
             # failure on a whole prefix can be a long header cut short
             if len(blob) < _HEADER_BYTES:
                 raise
-            _, height, width, _ = _parse_header(blob + fh.read(), path)
+            return _parse_header(blob + fh.read(), path)
+
+
+def image_size(path) -> tuple[int, int]:
+    """(H, W) of a PGM/PPM file, read from its header without the pixel data."""
+    _, height, width, _ = _read_header(_existing(path))
+    return height, width
+
+
+def entry_size(image_path, gt_path) -> tuple[int, int]:
+    """(H, W) of a manifest entry, checked from headers and file sizes alone.
+
+    Each file must hold its header's whole pixel payload, and the ground
+    truth must be a single-channel map of the image's size: what
+    ``load_entry`` would refuse, found without reading any pixels.
+    """
+    sizes = []
+    for path in (_existing(image_path), _existing(gt_path)):
+        channels, height, width, offset = _read_header(path)
+        need, got = width * height * channels, path.stat().st_size - offset
+        if got < need:
+            raise DataError(f"{path}: truncated pixel data, expected {need} bytes, got {got}")
+        sizes.append((channels, height, width))
+    (_, height, width), (gt_channels, gt_height, gt_width) = sizes
+    if gt_channels != 1:
+        raise DataError(f"{gt_path}: expected a single-channel PGM map, got a color image")
+    if (gt_height, gt_width) != (height, width):
+        raise DataError(f"{gt_path}: ground truth size {(gt_height, gt_width)} does not match "
+                        f"image size {(height, width)}")
     return height, width
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig
-from .data import Manifest, image_size, padded_size
+from .data import Manifest, entry_size, padded_size
 from .errors import CheckpointError, ConfigError, ShapeError
 from .nn import Conv2d, Module, ModuleList
 from .tensor import (Tensor, add, adaptive_avg_pool2d, avg_pool2d, concat_channels,
@@ -300,12 +300,14 @@ def check_input_size(config: ModelConfig, h: int, w: int, name: str = "model inp
 
 
 def check_manifest_sizes(config: ModelConfig, manifest: Manifest) -> None:
-    """``check_input_size`` on every manifest image's padded size.
+    """``entry_size`` and ``check_input_size`` on every manifest entry.
 
-    Only image headers are read, so a run fails here before any work.
+    Only headers and file sizes are read, so a run fails here before any
+    work or output, on a truncated file or a ground truth of another size
+    as on an image the model cannot take.
     """
-    for image_path, _ in manifest.entries:
-        check_input_size(config, *padded_size(*image_size(image_path)),
+    for image_path, gt_path in manifest.entries:
+        check_input_size(config, *padded_size(*entry_size(image_path, gt_path)),
                          name=f"{image_path}: padded input")
 
 

@@ -19,9 +19,8 @@ so no band's GEMM may fall under a 2e6 floor, and a layer whose whole GEMM is
 under it stays one GEMM.  The VJP still builds the whole patch matrix once:
 d_weight sums over every output column, and summing it band by band would
 add partial sums in another order and change its bits.  It re-pads that
-matrix's input from ``x`` with the forward's zero border (``_pad``) and
-holds no copy of its own, so a recorded conv keeps only its output alive
-beyond what its parents already hold.
+matrix's input from the input's data with the forward's zero border
+(``_pad``) rather than keep a padded copy.
 
 ``max_pool2d`` walks the rate x rate strided taps in row-major order under
 ``np.argmax``'s first-maximum, first-NaN rule and copies values as bit
@@ -32,9 +31,14 @@ lerp form (``np.take`` gathers) in the forward; its VJP scatters each axis in
 passes that never write one input twice, which rounds bit for bit as an
 ``np.add.at`` scatter would (the matrix adjoint A_h^T g A_w sums in another
 order, so it is not used).
-``backward`` walks the recorded lineage once, in reverse topological order,
-and accumulates gradients into leaf tensors that were created with
-``requires_grad=True``.
+
+A recorded op's lineage is a small ``_Node``: its inputs' graph entries and
+its VJP.  An entry is the input's node, the input itself if it is a
+``requires_grad`` leaf, or the one constant node (for the image, say).  Each
+VJP closes over only the arrays it reads, never a ``Tensor``, so an output
+that no VJP reads is freed once the forward drops it.  ``backward`` walks
+the nodes once, in reverse topological order, into the ``requires_grad``
+leaves; it frees nothing, so it can run twice.
 
 Two precision modes exist: 64-bit (for gradient checking) and 32-bit (for
 training speed).  The mode is a process-wide default applied when tensors
@@ -92,23 +96,50 @@ def no_grad() -> Iterator[None]:
         _GRAD_ENABLED = previous
 
 
+class _Node:
+    """One recorded op: its inputs' graph entries and the VJP onto them."""
+
+    __slots__ = ("_parents", "_vjp")
+    requires_grad = False
+
+    def __init__(self, parents: tuple, vjp: Optional[Callable]):
+        self._parents = parents
+        self._vjp = vjp
+
+
+# the one graph entry of every input with no lineage and no gradient
+_CONSTANT = _Node((), None)
+
+
 class Tensor:
     """A dense numeric array with an optional gradient and autograd lineage.
 
     ``data`` is always a contiguous float32 or float64 ndarray.  ``grad``
     stays ``None`` until ``backward`` reaches this tensor as a leaf; it then
-    accumulates across backward calls until cleared.
+    accumulates across backward calls until cleared.  ``_parents`` and
+    ``_vjp`` are an op output's ``_node``'s; assigning ``_vjp`` replaces it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         dt = np.dtype(dtype) if dtype is not None else _DEFAULT_DTYPE
         self.data = np.ascontiguousarray(data, dtype=dt)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._vjp: Optional[Callable] = None
+        self._node: Optional[_Node] = None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _vjp(self) -> Optional[Callable]:
+        return None if self._node is None else self._node._vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp: Callable) -> None:
+        self._node._vjp = vjp
 
     @property
     def shape(self) -> tuple:
@@ -130,24 +161,20 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name})"
 
 
-def _tracing(parents: Sequence[Tensor]) -> bool:
-    if not _GRAD_ENABLED:
-        return False
-    return any(p.requires_grad or p._vjp is not None for p in parents)
-
-
 def _op_output(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
-    """Wrap an op result, recording lineage only when a parent needs it."""
+    """Wrap an op result, recording lineage only when a parent needs it.
+
+    A parent enters the node as its own node, as itself if it is a
+    ``requires_grad`` leaf, or else as the constant.
+    """
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data)
     out.grad = None
     out.requires_grad = False
-    if _tracing(parents):
-        out._parents = tuple(parents)
-        out._vjp = vjp
-    else:
-        out._parents = ()
-        out._vjp = None
+    out._node = None
+    if _GRAD_ENABLED and any(p.requires_grad or p._node for p in parents):
+        out._node = _Node(tuple(p._node or (p if p.requires_grad else _CONSTANT)
+                                for p in parents), vjp)
     return out
 
 
@@ -195,7 +222,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} does not fit input {h}x{w} with padding {padding}")
 
-    xp = _pad(x.data, padding)
+    x_data, w_shape = x.data, weight.shape
+    xp = _pad(x_data, padding)
     w2 = weight.data.reshape(out_c, -1)
     edges = _band_edges(out_c, w2.shape[1], oh, ow, xp.itemsize)
     if len(edges) == 2:
@@ -211,26 +239,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         out += bias.data[:, None, None, None]
     # decided at record time: an input with no lineage, such as the image,
     # needs no d_x
-    need_dx = x.requires_grad or x._vjp is not None
+    need_dx = x.requires_grad or x._node is not None
+    has_bias = bias is not None
 
     def vjp(g: np.ndarray):
-        # the padded input and its patch matrix are rebuilt from x rather
-        # than kept from the forward: x already holds the same values, and
-        # every layer's copies held until backward would dominate peak memory
+        # the padded input and its patch matrix are rebuilt from x's data
+        # rather than kept from the forward: every layer's copies held until
+        # backward would dominate peak memory
         g2 = g.transpose(1, 0, 2, 3).reshape(out_c, -1)
-        d_weight = np.dot(g2, _im2col(_pad(x.data, padding), kh, kw, oh, ow, stride).T)
-        d_weight = d_weight.reshape(weight.shape)
+        d_weight = np.dot(g2, _im2col(_pad(x_data, padding), kh, kw, oh, ow, stride).T)
+        d_weight = d_weight.reshape(w_shape)
         d_x = None
         if need_dx:
             d_cols = np.dot(w2.T, g2).reshape(c, kh, kw, n, oh, ow)
-            d_xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+            d_xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x_data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     d_xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d_cols[:, i, j]
             d_x = d_xp.transpose(1, 0, 2, 3)
             if padding:
                 d_x = d_x[:, :, padding:padding + h, padding:padding + w]
-        if bias is not None:
+        if has_bias:
             return d_x, d_weight, g.sum(axis=(0, 2, 3))
         return d_x, d_weight
 
@@ -342,6 +371,7 @@ def max_pool2d(x: Tensor, rate: int = 2) -> Tensor:
         raise ShapeError(f"max_pool2d: rate {rate} does not divide spatial size {h}x{w}")
     if rate == 1:
         return x
+    shape, dtype = x.shape, x.dtype
     taps = [(slice(None), slice(None), slice(i, None, rate), slice(j, None, rate))
             for i in range(rate) for j in range(rate)]
     # Values move as unsigned bit patterns, so a select is a wrapping
@@ -364,8 +394,8 @@ def max_pool2d(x: Tensor, rate: int = 2) -> Tensor:
         np.maximum(arg, take * arg.dtype.type(t), out=arg)
 
     def vjp(g: np.ndarray):
-        g_bits = g.astype(x.dtype, copy=False).view(uint)
-        d = np.empty_like(x.data)
+        g_bits = g.astype(dtype, copy=False).view(uint)
+        d = np.empty(shape, dtype)
         for t, tap in enumerate(taps):
             np.multiply(g_bits, arg == t, out=d.view(uint)[tap])
         return (d,)
@@ -441,8 +471,9 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     n, c, h, w = x.shape
     if out_h == h and out_w == w:
         return x
-    r0, r1, fy = _resample_axis(h, out_h, x.dtype)
-    c0, c1, fx = _resample_axis(w, out_w, x.dtype)
+    dtype = x.dtype
+    r0, r1, fy = _resample_axis(h, out_h, dtype)
+    c0, c1, fx = _resample_axis(w, out_w, dtype)
 
     # lo + frac * (hi - lo), computed in place in the hi buffer
     rows_lo = np.take(x.data, r0, axis=2)
@@ -461,9 +492,9 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
         # every pass moves whole contiguous rows; rebinding d frees each
         # layout's buffer once the next one exists
         d = np.ascontiguousarray(g.transpose(3, 0, 1, 2)).reshape(out_w, -1)
-        d = _lerp_adjoint(d, w, x.dtype).reshape(w, n, c, out_h)
+        d = _lerp_adjoint(d, w, dtype).reshape(w, n, c, out_h)
         d = np.ascontiguousarray(d.transpose(3, 1, 2, 0)).reshape(out_h, -1)
-        d = _lerp_adjoint(d, h, x.dtype).reshape(h, n, c, w)
+        d = _lerp_adjoint(d, h, dtype).reshape(h, n, c, w)
         return (np.ascontiguousarray(d.transpose(1, 2, 0, 3)),)
 
     return _op_output(out, (x,), vjp)
@@ -511,6 +542,7 @@ def crop2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Keep the top-left out_h x out_w window; backward zero-fills the rest."""
     _check_rank4(x, "crop2d input")
     n, c, h, w = x.shape
+    dtype = x.dtype
     if not 1 <= out_h <= h or not 1 <= out_w <= w:
         raise ShapeError(f"crop2d: window {out_h}x{out_w} does not fit input {h}x{w}")
     if out_h == h and out_w == w:
@@ -518,7 +550,7 @@ def crop2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
     out = x.data[:, :, :out_h, :out_w]
 
     def vjp(g: np.ndarray):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros((n, c, h, w), dtype)
         dx[:, :, :out_h, :out_w] = g
         return (dx,)
 
@@ -571,10 +603,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-    out = a.data * b.data
+    a_data, b_data = a.data, b.data
+    out = a_data * b_data
 
     def vjp(g: np.ndarray):
-        return g * b.data, g * a.data
+        return g * b_data, g * a_data
 
     return _op_output(out, (a, b), vjp)
 
@@ -594,17 +627,18 @@ def concat_channels(inputs: Sequence[Tensor]) -> Tensor:
     edges = np.cumsum([0] + widths)
 
     def vjp(g: np.ndarray):
-        return tuple(g[:, edges[i]:edges[i + 1]] for i in range(len(inputs)))
+        return tuple(g[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:]))
 
     return _op_output(out, tuple(inputs), vjp)
 
 
 def reduce_sum(x: Tensor) -> Tensor:
     """Sum every element into a 1x1x1x1 scalar tensor."""
-    out = np.asarray(x.data.sum(), dtype=x.dtype).reshape(1, 1, 1, 1)
+    shape, dtype = x.shape, x.dtype
+    out = np.asarray(x.data.sum(), dtype=dtype).reshape(1, 1, 1, 1)
 
     def vjp(g: np.ndarray):
-        return (np.broadcast_to(g.reshape(()), x.shape).astype(x.dtype, copy=True),)
+        return (np.broadcast_to(g.reshape(()), shape).astype(dtype, copy=True),)
 
     return _op_output(out, (x,), vjp)
 
@@ -616,17 +650,19 @@ def reduce_sum(x: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Backpropagate from a scalar loss into every requires_grad leaf.
 
-    Each lineage node is visited exactly once.  Leaf gradients accumulate
-    across calls: running backward twice on the same graph doubles them.
+    Each graph node is visited exactly once.  Nodes are not freed as they
+    run, so leaf gradients accumulate across calls: running backward twice on
+    the same graph doubles them.
     """
     if loss.data.shape != (1, 1, 1, 1):
         raise ShapeError(f"backward: loss must have shape (1, 1, 1, 1), got {loss.shape}")
-    if loss._vjp is None:
+    root = loss._node
+    if root is None:
         raise ShapeError("backward: loss has no lineage to propagate through")
 
-    order: list[Tensor] = []
+    order: list = []  # of nodes, requires_grad leaves and the constant
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -640,14 +676,14 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
-    flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    flow: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(order):
         g = flow.pop(id(node), None)
         if g is None:
             continue
         if node._vjp is not None:
             for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None:
+                if pg is None or parent is _CONSTANT:
                     continue
                 held = flow.get(id(parent))
                 flow[id(parent)] = pg if held is None else held + pg

@@ -233,6 +233,42 @@ class TestExitCodes:
         assert err.startswith("data error:") and "1/img_0000.ppm" in err and "32x32 minimum" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    @pytest.mark.parametrize("defect", ["truncated", "gt-size", "gt-color"])
+    def test_bad_later_entry_is_three_before_any_output(self, tmp_path, run_dir, capsys,
+                                                        command, defect):
+        data = tmp_path / "data"
+        for i in range(2):
+            assert main(["synth", "--kind", "saliency", "--count", "1", "--size", "32",
+                         "--seed", str(i), "--output-dir", str(data / str(i))]) == 0
+        if defect == "truncated":
+            bad = data / "1" / "img_0000.ppm"
+            bad.write_bytes(bad.read_bytes()[:-1])
+            want = "truncated pixel data"
+        elif defect == "gt-size":
+            bad = data / "1" / "gt_0000.pgm"
+            bad.write_bytes(b"P5\n48 32\n255\n" + bytes(48 * 32))
+            want = "does not match image size"
+        else:
+            bad = data / "1" / "gt_0000.pgm"
+            bad.write_bytes(b"P6\n32 32\n255\n" + bytes(32 * 32 * 3))
+            want = "single-channel"
+        write_manifest(data / "manifest.tsv", [(f"{i}/img_0000.ppm", f"{i}/gt_0000.pgm")
+                                               for i in range(2)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--saliency-manifest", str(data / "manifest.tsv"),
+                      "--output-dir", str(out), *MICRO_MODEL, *QUICK_TRAIN],
+            "infer": ["infer", "--checkpoint", str(run_dir / "final.ckpt"),
+                      "--manifest", str(data / "manifest.tsv"), "--output-dir", str(out)],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("data error:") and str(bad) in err and want in err
+        assert not out.exists()
+
     def test_poisoned_weights_are_four(self, tmp_path, sal_dir, run_dir, capsys):
         model, state = model_from_checkpoint(run_dir / "final.ckpt")
         model.head.weight.data[:] = np.inf

@@ -10,6 +10,7 @@ import pytest
 import poolnet.nn
 from poolnet.config import ModelConfig
 from poolnet.errors import ShapeError
+from poolnet.losses import bce_with_logits
 from poolnet.model import build_model
 from poolnet.tensor import (
     UPSAMPLE_FACTORS,
@@ -44,6 +45,26 @@ def t(values, requires_grad=False, dtype=np.float64):
 def image(values):
     """Wrap a 2-D list as a 1x1xHxW tensor."""
     return t([[values]])
+
+
+def _base(a: np.ndarray) -> np.ndarray:
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def vjp_closures(loss):
+    """The closure values of every VJP in ``loss``'s graph, walked through
+    ``_parents`` and ``_vjp`` alone."""
+    values, seen, stack = [], set(), [loss]
+    while stack:
+        entry = stack.pop()
+        if id(entry) in seen or entry._vjp is None:
+            continue
+        seen.add(id(entry))
+        values.extend(cell.cell_contents for cell in entry._vjp.__closure__ or ())
+        stack.extend(entry._parents)
+    return values
 
 
 class TestTensorBasics:
@@ -537,6 +558,55 @@ class TestConcat:
 
 
 class TestBackwardContract:
+    def test_graph_holds_only_what_its_vjps_read(self):
+        model = build_model(ModelConfig(), seed=0)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.uniform(size=(1, 3, 304, 400)))
+        target = (rng.uniform(size=(1, 1, 304, 400)) > 0.5).astype(np.float32)
+        tracemalloc.start()
+        try:
+            loss = bce_with_logits(model(x).saliency, target)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        closed = vjp_closures(loss)
+        assert not any(isinstance(v, Tensor) for v in closed)
+        # The bound is what the VJPs read: the distinct arrays their closures
+        # hold (ReLU outputs, conv inputs, max-pool taps, the loss's logits,
+        # the pools' averaging matrices), less those made before the forward
+        # (parameters, image, target), plus 1 MiB for the nodes and closures
+        # themselves.  That is about 54 MB here; a graph that kept every op
+        # output alive until backward held 173 MB.
+        before = {id(_base(a)) for a in [p.data for p in model.parameters()] + [x.data, target]}
+        bases = {id(b): b for b in (_base(v) for v in closed if isinstance(v, np.ndarray))}
+        read = sum(b.nbytes for key, b in bases.items() if key not in before)
+        assert held <= read + 2**20
+
+    def test_replaced_vjp_is_what_backward_runs(self):
+        # a profiler wraps each recorded op's VJP in place and reads its
+        # parents' entries to tell which gradients are kept
+        rng = np.random.default_rng(5)
+        picture = t(rng.standard_normal((1, 2, 6, 5)))
+        weight = t(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        out = conv2d(picture, weight, padding=1)
+        inner, calls = out._vjp, []
+
+        def wrapper(g):
+            grads = tuple(inner(g))
+            calls.append(grads)
+            return grads
+
+        out._vjp = wrapper
+        assert out._vjp is wrapper
+        assert [(p.requires_grad, p._vjp is not None) for p in out._parents] == \
+            [(False, False), (True, False)]
+        loss = reduce_sum(relu(out))
+        assert loss._parents[0]._parents[0]._vjp is wrapper
+        backward(loss)
+        assert len(calls) == 1
+        assert calls[0][0] is None and picture.grad is None
+        assert np.array_equal(weight.grad, calls[0][1])
+
     def test_double_backward_doubles_leaf_gradients(self):
         x = t([[[[2.0, -1.0], [0.5, 3.0]]]], requires_grad=True)
         loss = reduce_sum(mul(x, x))
