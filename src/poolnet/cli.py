@@ -17,8 +17,8 @@ import numpy as np
 
 from .config import (CONFIG_FIELDS, RunConfig, _parse_bool, ablation_configs, build_run_config,
                      read_config_file, thread_cap)
-from .data import (atomic_open, load_manifest, load_map, synth_edge_dataset,
-                   synth_saliency_dataset)
+from .data import (atomic_open, load_manifest, load_map, map_names, padded_size,
+                   synth_edge_dataset, synth_saliency_dataset)
 from .errors import CheckpointError, ConfigError, DataError, NumericError, ShapeError
 from .inference import predict_manifest, run_inference
 from .metrics import evaluate_pairs, write_metrics_csv
@@ -204,8 +204,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest, "saliency")
     pairs = []
-    for image_path, gt_path in manifest.entries:
-        pred_path = args.pred_dir / f"{image_path.stem}.pgm"
+    for (image_path, gt_path), (name,) in zip(manifest.entries, map_names(manifest, False)):
+        pred_path = args.pred_dir / name
         if not pred_path.is_file():
             raise DataError(f"missing prediction for {image_path.name}: {pred_path}")
         pairs.append((load_map(pred_path), load_map(gt_path)))
@@ -250,8 +250,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.iters < 1 or args.warmup < 0:
         raise ConfigError(f"iters must be >= 1 and warmup >= 0, got {args.iters}, {args.warmup}")
     width, height = args.size
-    padded_w = -(-width // 16) * 16
-    padded_h = -(-height // 16) * 16
+    padded_h, padded_w = padded_size(height, width)
     model = build_model(run.model, seed=run.train.seed)
     rng = np.random.default_rng(run.train.seed)
     x = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, padded_h, padded_w)))

@@ -21,7 +21,6 @@ from typing import Optional
 from .errors import ConfigError
 
 DESK_WIDTHS = (16, 32, 64, 128, 128)
-FULL_WIDTHS = (64, 128, 256, 512, 512)
 # the integer factors bilinear upsampling supports; a FAM rate must be one
 UPSAMPLE_FACTORS = (1, 2, 4, 8, 16)
 
@@ -46,10 +45,6 @@ class ModelConfig:
         self.pyramid_channels = tuple(self.pyramid_channels)
         self.fam_rates = tuple(self.fam_rates)
         self.ppm_sizes = tuple(self.ppm_sizes)
-
-    @classmethod
-    def full_scale(cls, **kwargs) -> "ModelConfig":
-        return cls(backbone_widths=FULL_WIDTHS, **kwargs)
 
     def validate(self) -> None:
         if len(self.backbone_widths) != 5:

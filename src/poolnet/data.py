@@ -133,12 +133,6 @@ def _read_header(path: Path) -> tuple[int, int, int, int]:
             return _parse_header(blob + fh.read(), path)
 
 
-def image_size(path) -> tuple[int, int]:
-    """(H, W) of a PGM/PPM file, read from its header without the pixel data."""
-    _, height, width, _ = _read_header(_existing(path))
-    return height, width
-
-
 def entry_size(image_path, gt_path) -> tuple[int, int]:
     """(H, W) of a manifest entry, checked from headers and file sizes alone.
 
@@ -217,36 +211,32 @@ def save_image(values, path) -> None:
 
 @dataclass
 class Sample:
-    """One training/eval item; ``pad`` is (right, bottom) relative to original."""
+    """One training/eval item: an image and its target of the same H x W."""
 
     image: np.ndarray   # (3, H, W) in [0, 1]
     target: np.ndarray  # (1, H, W)
-    original_size: tuple[int, int]  # (W, H)
-    pad: tuple[int, int] = (0, 0)
 
 
-def padded_size(h: int, w: int, multiple: int = PAD_MULTIPLE) -> tuple[int, int]:
+def padded_size(h: int, w: int) -> tuple[int, int]:
     """The (H, W) that ``pad_to_multiple`` gives an h x w sample."""
-    return h + (-h) % multiple, w + (-w) % multiple
+    return h + (-h) % PAD_MULTIPLE, w + (-w) % PAD_MULTIPLE
 
 
-def pad_to_multiple(sample: Sample, multiple: int = PAD_MULTIPLE) -> Sample:
+def pad_to_multiple(sample: Sample) -> Sample:
     """Replicate-pad the image and zero-pad the target on the right/bottom."""
     _, h, w = sample.image.shape
-    padded_h, padded_w = padded_size(h, w, multiple)
+    padded_h, padded_w = padded_size(h, w)
     pad_bottom, pad_right = padded_h - h, padded_w - w
     if pad_bottom == 0 and pad_right == 0:
         return sample
     spec = ((0, 0), (0, pad_bottom), (0, pad_right))
     return Sample(image=np.pad(sample.image, spec, mode="edge"),
-                  target=np.pad(sample.target, spec),
-                  original_size=sample.original_size,
-                  pad=(pad_right, pad_bottom))
+                  target=np.pad(sample.target, spec))
 
 
 def crop_to_original(values: np.ndarray, sample: Sample) -> np.ndarray:
-    """Undo ``pad_to_multiple`` on a prediction of any channel count."""
-    w, h = sample.original_size
+    """Crop a prediction of any channel count to the unpadded ``sample``'s H x W."""
+    _, h, w = sample.image.shape
     return values[..., :h, :w]
 
 
@@ -310,8 +300,26 @@ def load_entry(manifest: Manifest, index: int) -> Sample:
     if target.shape != image.shape[1:]:
         raise DataError(f"{gt_path}: ground truth size {target.shape} does not match "
                         f"image size {image.shape[1:]}")
-    _, h, w = image.shape
-    return Sample(image=image, target=target[None], original_size=(w, h))
+    return Sample(image=image, target=target[None])
+
+
+def map_names(manifest: Manifest, edges: bool) -> list[tuple[str, ...]]:
+    """Per entry, the file names of its predicted maps: ``<stem>.pgm``, then
+    ``<stem>_edge.pgm`` when ``edges``.  ``infer`` writes and ``eval`` reads
+    these names, so two images whose maps would share a name are refused,
+    naming both, before either command reads or writes a map.  An image
+    listed twice keeps its one map."""
+    owners: dict[str, Path] = {}
+    names = []
+    for image_path, _ in manifest.entries:
+        stem = Path(image_path).stem
+        entry = (f"{stem}.pgm", f"{stem}_edge.pgm") if edges else (f"{stem}.pgm",)
+        for name in entry:
+            if owners.setdefault(name, image_path) != image_path:
+                raise DataError(f"{owners[name]} and {image_path} both map to {name}; "
+                                "image stems must be unique")
+        names.append(entry)
+    return names
 
 
 # ---------------------------------------------------------------------------

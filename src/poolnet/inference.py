@@ -7,7 +7,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Manifest, Sample, crop_to_original, load_entry, pad_to_multiple, save_map
+from .data import (Manifest, Sample, crop_to_original, load_entry, map_names, pad_to_multiple,
+                   save_map)
 from .model import SaliencyNet, check_manifest_sizes
 from .tensor import Tensor, no_grad, sigmoid
 
@@ -41,19 +42,15 @@ def predict_manifest(model: SaliencyNet, manifest: Manifest) -> list[np.ndarray]
 def run_inference(model: SaliencyNet, manifest: Manifest, output_dir) -> list[Path]:
     """Write one 8-bit saliency map per entry (named after the image stem),
     plus ``<stem>_edge.pgm`` when the edge branch is active.  Every image's
-    size is checked from its header before the first map is written."""
+    size and map names are checked before the first map is written."""
     check_manifest_sizes(model.config, manifest)
+    names = map_names(manifest, model.config.enable_edge)
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for i in range(len(manifest)):
-        image_path, _ = manifest.entries[i]
-        saliency, edge = predict_sample(model, load_entry(manifest, i))
-        target = output_dir / f"{Path(image_path).stem}.pgm"
-        save_map(saliency, target)
-        written.append(target)
-        if edge is not None:
-            edge_target = output_dir / f"{Path(image_path).stem}_edge.pgm"
-            save_map(edge, edge_target)
-            written.append(edge_target)
+    for i, entry_names in enumerate(names):
+        maps = predict_sample(model, load_entry(manifest, i))
+        for values, name in zip(maps, entry_names):
+            save_map(values, output_dir / name)
+            written.append(output_dir / name)
     return written

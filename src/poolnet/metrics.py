@@ -22,14 +22,14 @@ BETA2 = 0.3
 N_THRESHOLDS = 256
 
 
-def f_measure(precision: float, recall: float, beta2: float = BETA2) -> float:
-    """(1 + beta2) * P * R / (beta2 * P + R); zero when the denominator is zero."""
+def f_measure(precision: float, recall: float) -> float:
+    """(1 + BETA2) * P * R / (BETA2 * P + R); zero when the denominator is zero."""
     if not 0.0 <= precision <= 1.0 or not 0.0 <= recall <= 1.0:
         raise ValueError(f"precision/recall must lie in [0, 1], got {precision}, {recall}")
-    denom = beta2 * precision + recall
+    denom = BETA2 * precision + recall
     if denom == 0.0:
         return 0.0
-    return (1.0 + beta2) * precision * recall / denom
+    return (1.0 + BETA2) * precision * recall / denom
 
 
 def _as_map(values, role: str) -> np.ndarray:
@@ -108,12 +108,12 @@ def _count_at_or_above(bins: np.ndarray) -> np.ndarray:
     return np.cumsum(hist[::-1])[-2::-1]
 
 
-def max_f(curve: PRCurve, beta2: float = BETA2) -> float:
+def max_f(curve: PRCurve) -> float:
     """Best F-measure over the 256 thresholds of a sweep."""
     if len(curve.precision) != N_THRESHOLDS or len(curve.recall) != N_THRESHOLDS:
         raise ShapeError(f"expected {N_THRESHOLDS} curve points, got "
                          f"{len(curve.precision)}/{len(curve.recall)}")
-    return max(f_measure(p, r, beta2) for p, r in zip(curve.precision, curve.recall))
+    return max(f_measure(p, r) for p, r in zip(curve.precision, curve.recall))
 
 
 @dataclass

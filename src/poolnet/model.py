@@ -25,7 +25,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig
-from .data import Manifest, entry_size, padded_size
+from .data import PAD_MULTIPLE, Manifest, entry_size, padded_size
 from .errors import CheckpointError, ConfigError, ShapeError
 from .nn import Conv2d, Module, ModuleList
 from .tensor import (Tensor, add, adaptive_avg_pool2d, avg_pool2d, concat_channels,
@@ -288,8 +288,8 @@ class SaliencyNet(Module):
 
 def check_input_size(config: ModelConfig, h: int, w: int, name: str = "model input") -> None:
     """Raise ``ShapeError`` unless the network takes an h x w input."""
-    if h % 16 or w % 16:
-        raise ShapeError(f"{name} size {h}x{w} must be divisible by 16")
+    if h % PAD_MULTIPLE or w % PAD_MULTIPLE:
+        raise ShapeError(f"{name} size {h}x{w} must be divisible by {PAD_MULTIPLE}")
     if config.enable_ppm:
         # the deepest map (stride 16) must hold the largest pooling grid
         low = 16 * max(config.ppm_sizes)

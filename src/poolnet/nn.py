@@ -7,7 +7,7 @@ deterministic for a given architecture.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -18,12 +18,11 @@ from .tensor import Tensor, conv2d, get_default_dtype
 class Parameter(Tensor):
     """A leaf tensor tracked by a model; ``name`` is filled in by the owning model."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str = "", trainable: bool = True, dtype=None):
+    def __init__(self, data, name: str = "", dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
         self.name = name
-        self.trainable = trainable
 
 
 class Module:
@@ -104,24 +103,17 @@ def glorot_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator) -
 
 
 class Conv2d(Module):
-    """2-D convolution with seeded fan-based uniform weights and zero bias."""
+    """Stride-1 2-D convolution, zero-padded by half the kernel, with a bias:
+    seeded fan-based uniform weights and a zero initial bias."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, stride: int = 1, padding: Optional[int] = None,
-                 bias: bool = True):
+                 rng: np.random.Generator):
         super().__init__()
-        if padding is None:
-            padding = kernel_size // 2
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
         k2 = kernel_size * kernel_size
         self.weight = Parameter(glorot_uniform(
             (out_channels, in_channels, kernel_size, kernel_size),
             fan_in=in_channels * k2, fan_out=out_channels * k2, rng=rng))
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
+        self.bias = Parameter(np.zeros(out_channels))
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return conv2d(x, self.weight, self.bias, padding=self.weight.shape[-1] // 2)

@@ -34,9 +34,9 @@ class Adam:
 
     def __init__(self, params, lr: float, weight_decay: float = 0.0,
                  require_grads: bool = True):
-        self.params: list[Parameter] = [p for p in params if p.trainable]
+        self.params: list[Parameter] = list(params)
         if not self.params:
-            raise ValueError("Adam: no trainable parameters")
+            raise ValueError("Adam: no parameters")
         self.lr = lr
         self.weight_decay = weight_decay
         self.require_grads = require_grads

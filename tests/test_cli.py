@@ -14,7 +14,7 @@ from poolnet.checkpoint import load_checkpoint, save_checkpoint
 from poolnet.cli import build_parser, main
 from poolnet.config import CONFIG_FIELDS, ModelConfig, RunConfig, TrainConfig
 from poolnet.data import load_map, write_manifest
-from poolnet.model import model_from_checkpoint, save_model_with_config
+from poolnet.model import build_model, model_from_checkpoint, save_model_with_config
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -267,6 +267,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("data error:") and str(bad) in err and want in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,stems", [
+        ("infer", ("0/img_0000", "1/img_0000")),
+        ("eval", ("0/img_0000", "1/img_0000")),
+        ("infer-edge", ("0/img_0000", "1/img_0000_edge")),
+    ], ids=["infer", "eval", "infer-edge"])
+    def test_shared_map_name_is_three_before_any_output(self, tmp_path, run_dir, capsys,
+                                                        command, stems):
+        # infer names each map <stem>.pgm (and <stem>_edge.pgm), eval reads
+        # the same names: two images with one map name are refused
+        data = tmp_path / "data"
+        entries = []
+        for i, stem in enumerate(stems):
+            assert main(["synth", "--kind", "saliency", "--count", "1", "--size", "32",
+                         "--seed", str(i), "--output-dir", str(data / str(i))]) == 0
+            (data / str(i) / "img_0000.ppm").rename(data / f"{stem}.ppm")
+            entries.append((f"{stem}.ppm", f"{i}/gt_0000.pgm"))
+        write_manifest(data / "manifest.tsv", entries)
+        checkpoint = run_dir / "final.ckpt"
+        if command == "infer-edge":
+            checkpoint = tmp_path / "edge.ckpt"
+            config = ModelConfig(backbone_widths=(4, 6, 6, 8, 8), ppm_sizes=(2,),
+                                 fam_rates=(2, 4), enable_edge=True)
+            save_model_with_config(checkpoint, build_model(config, seed=0))
+        pred = tmp_path / "pred"
+        if command == "eval":
+            pred.mkdir()
+            (pred / "img_0000.pgm").write_bytes((data / "0" / "gt_0000.pgm").read_bytes())
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {
+            "infer": ["infer", "--checkpoint", str(checkpoint),
+                      "--manifest", str(data / "manifest.tsv"), "--output-dir", str(out)],
+            "eval": ["eval", "--manifest", str(data / "manifest.tsv"),
+                     "--pred-dir", str(pred), "--out", str(out)],
+        }[command.split("-")[0]]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error:")
+        assert all(str(data / f"{stem}.ppm") in err for stem in stems)
         assert not out.exists()
 
     def test_poisoned_weights_are_four(self, tmp_path, sal_dir, run_dir, capsys):

@@ -10,7 +10,6 @@ import pytest
 from poolnet.config import (
     ABLATION_ROWS,
     DESK_WIDTHS,
-    FULL_WIDTHS,
     ModelConfig,
     TrainConfig,
     ablation_configs,
@@ -30,11 +29,6 @@ class TestModelConfig:
         assert not config.enable_edge
         assert config.fam_rates == (2, 4, 8)
         assert config.ppm_sizes == (3, 5)
-
-    def test_full_scale_widths(self):
-        config = ModelConfig.full_scale()
-        assert config.backbone_widths == FULL_WIDTHS
-        assert config.pyramid_channels == (128, 256, 512, 512)
 
     def test_pyramid_channels_default_tracks_widths(self):
         config = ModelConfig(backbone_widths=(4, 5, 6, 7, 8))

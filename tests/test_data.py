@@ -10,7 +10,7 @@ import poolnet.data as data_mod
 from poolnet.data import (
     Sample,
     crop_to_original,
-    image_size,
+    entry_size,
     load_entry,
     load_image,
     load_manifest,
@@ -85,28 +85,29 @@ class TestPnmRead:
         with pytest.raises(DataError):
             load_map(tmp_path / "absent.pgm")
 
-    def test_image_size_reads_the_header_alone(self, tmp_path):
-        path = tmp_path / "c.ppm"
-        # pixel data cut short: the size is still known, the image is not
-        path.write_bytes(b"P6\n# c\n5 3\n255\n" + bytes(7))
-        assert image_size(path) == (3, 5)
-        with pytest.raises(DataError, match="truncated"):
-            load_image(path)
+    # entry_size reads an image's size from its header and its ground
+    # truth's; each case below spoils the image, beside a good 2x3 map
+    def ground_truth(self, tmp_path):
+        path = tmp_path / "gt.pgm"
+        path.write_bytes(b"P5\n3 2\n255\n" + bytes(6))
+        return path
 
     def test_image_size_reads_past_a_long_header(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n#" + b"x" * 5000 + b"\n3 2\n255\n" + bytes(6))
-        assert image_size(path) == (2, 3) == load_map(path).shape
+        assert entry_size(path, self.ground_truth(tmp_path)) == (2, 3) == load_map(path).shape
 
     @pytest.mark.parametrize("blob", [b"P4\n1 1\n255\n\x00", b"P5\n0 2\n255\n",
-                                      b"P5\n2 2\n25" + b"5" * 5000, b"", None],
-                             ids=["magic", "dims", "long-maxval", "empty", "absent"])
+                                      b"P5\n2 2\n25" + b"5" * 5000, b"", None,
+                                      b"P6\n# c\n3 2\n255\n" + bytes(17)],
+                             ids=["magic", "dims", "long-maxval", "empty", "absent",
+                                  "truncated"])
     def test_image_size_rejects_bad_headers(self, tmp_path, blob):
         path = tmp_path / "bad.pnm"
         if blob is not None:
             path.write_bytes(blob)
         with pytest.raises(DataError):
-            image_size(path)
+            entry_size(path, self.ground_truth(tmp_path))
 
 
 class TestPnmWrite:
@@ -187,15 +188,12 @@ class TestPnmWrite:
 class TestPadding:
     def sample(self, h, w):
         rng = np.random.default_rng(h * 31 + w)
-        return Sample(image=rng.random((3, h, w)), target=rng.random((1, h, w)),
-                      original_size=(w, h))
+        return Sample(image=rng.random((3, h, w)), target=rng.random((1, h, w)))
 
     def test_pads_to_next_multiple_of_16(self):
         padded = pad_to_multiple(self.sample(30, 33))
         assert padded.image.shape == (3, 32, 48)
         assert padded.target.shape == (1, 32, 48)
-        assert padded.pad == (15, 2)
-        assert padded.original_size == (33, 30)
 
     def test_image_pad_replicates_target_pad_zeros(self):
         sample = self.sample(15, 16)

@@ -87,9 +87,8 @@ class TestAdamStep:
             Adam([p], lr=0.1).step()
 
     def test_no_trainable_parameters_raises(self):
-        frozen = Parameter(np.zeros(1), trainable=False)
         with pytest.raises(ValueError):
-            Adam([frozen], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_step_counter_advances(self):
         p = param([0.0])
