@@ -44,6 +44,8 @@ def save_checkpoint(path, records: dict[str, np.ndarray]) -> None:
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read every record back as float32 arrays, preserving file order."""
     path = Path(path)
+    if not path.is_file():
+        raise CheckpointError(f"checkpoint not found: {path}")
     blob = path.read_bytes()
     if not blob.startswith(MAGIC):
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")

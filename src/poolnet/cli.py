@@ -1,8 +1,8 @@
 """Command-line surface: train, infer, eval, ablate, bench, synth.
 
 Configuration comes from an optional ``key = value`` file plus flags; flags
-win.  Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure.
+win.  Exit codes: 0 success, 2 configuration error, 3 data error (a file
+that is missing, malformed or cannot be read or written), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, CheckpointError, ShapeError) as exc:
+    except (DataError, CheckpointError, ShapeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

@@ -144,8 +144,6 @@ class RunConfig:
     def validate(self) -> None:
         self.model.validate()
         self.train.validate()
-        if self.train.joint_edge and not self.model.enable_edge:
-            raise ConfigError("joint_edge training requires enable_edge")
 
 
 def _parse_bool(text: str) -> bool:

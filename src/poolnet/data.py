@@ -23,7 +23,6 @@ from .errors import DataError, NumericError
 
 MANIFEST_KINDS = ("saliency", "edge")
 PAD_MULTIPLE = 16
-_HEADER_BYTES = 4096
 _HEADER_DIGITS = 20
 
 
@@ -75,8 +74,12 @@ def _read_header_int(blob: bytes, pos: int, path: Path) -> tuple[int, int]:
     return int(blob[start:pos]), pos
 
 
-def _parse_header(blob: bytes, path: Path) -> tuple[int, int, int, int]:
-    """(channels, height, width, offset of the pixel data) of a P5/P6 blob."""
+def _parse_pnm(path) -> np.ndarray:
+    """The uint8 pixels of a P5 (H, W) or P6 (H, W, 3) file."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"image file not found: {path}")
+    blob = path.read_bytes()
     magic = blob[:2]
     if magic == b"P5":
         channels = 1
@@ -94,83 +97,56 @@ def _parse_header(blob: bytes, path: Path) -> tuple[int, int, int, int]:
         raise DataError(f"{path}: only 8-bit depth (maxval 255) is supported, got {maxval}")
     if pos >= len(blob) or blob[pos] not in b" \t\r\n":
         raise DataError(f"{path}: malformed header, expected whitespace before pixel data")
-    return channels, height, width, pos + 1
-
-
-def _existing(path) -> Path:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"image file not found: {path}")
-    return path
-
-
-def _parse_pnm(path) -> tuple[int, np.ndarray]:
-    """Returns (channels, uint8 array of shape (H, W) or (H, W, 3))."""
-    path = _existing(path)
-    blob = path.read_bytes()
-    channels, height, width, pos = _parse_header(blob, path)
+    pos += 1
     need = width * height * channels
     payload = blob[pos:pos + need]
     if len(payload) < need:
         raise DataError(f"{path}: truncated pixel data, expected {need} bytes, "
                         f"got {len(payload)}")
     arr = np.frombuffer(payload, dtype=np.uint8)
-    shape = (height, width) if channels == 1 else (height, width, 3)
-    return channels, arr.reshape(shape)
+    return arr.reshape((height, width) if channels == 1 else (height, width, 3))
 
 
-def _read_header(path: Path) -> tuple[int, int, int, int]:
-    """``_parse_header`` of a file, reading the pixel data only past a long header."""
-    with open(path, "rb") as fh:
-        blob = fh.read(_HEADER_BYTES)
-        try:
-            return _parse_header(blob, path)
-        except DataError:
-            # a header parsed in full ends before the prefix does, so only a
-            # failure on a whole prefix can be a long header cut short
-            if len(blob) < _HEADER_BYTES:
-                raise
-            return _parse_header(blob + fh.read(), path)
+def _parse_map(path) -> np.ndarray:
+    """``_parse_pnm`` of a file that must be a single-channel map."""
+    raw = _parse_pnm(path)
+    if raw.ndim != 2:
+        raise DataError(f"{path}: expected a single-channel PGM map, got a color image")
+    return raw
+
+
+def _read_entry(image_path, gt_path) -> tuple[np.ndarray, np.ndarray]:
+    """The uint8 pixels of a manifest entry's image and ground truth, which
+    must be a single-channel map of the image's size."""
+    image, gt = _parse_pnm(image_path), _parse_map(gt_path)
+    if gt.shape != image.shape[:2]:
+        raise DataError(f"{gt_path}: ground truth size {gt.shape} does not match "
+                        f"image size {image.shape[:2]}")
+    return image, gt
 
 
 def entry_size(image_path, gt_path) -> tuple[int, int]:
-    """(H, W) of a manifest entry, checked from headers and file sizes alone.
-
-    Each file must hold its header's whole pixel payload, and the ground
-    truth must be a single-channel map of the image's size: what
-    ``load_entry`` would refuse, found without reading any pixels.
-    """
-    sizes = []
-    for path in (_existing(image_path), _existing(gt_path)):
-        channels, height, width, offset = _read_header(path)
-        need, got = width * height * channels, path.stat().st_size - offset
-        if got < need:
-            raise DataError(f"{path}: truncated pixel data, expected {need} bytes, got {got}")
-        sizes.append((channels, height, width))
-    (_, height, width), (gt_channels, gt_height, gt_width) = sizes
-    if gt_channels != 1:
-        raise DataError(f"{gt_path}: expected a single-channel PGM map, got a color image")
-    if (gt_height, gt_width) != (height, width):
-        raise DataError(f"{gt_path}: ground truth size {(gt_height, gt_width)} does not match "
-                        f"image size {(height, width)}")
-    return height, width
+    """(H, W) of a manifest entry, read and checked as ``load_entry`` reads it,
+    so whatever ``load_entry`` would refuse is refused here too."""
+    return _read_entry(image_path, gt_path)[1].shape
 
 
-def load_image(path) -> np.ndarray:
-    """Read an image as (3, H, W) floats in [0, 1]; grayscale is replicated."""
-    channels, raw = _parse_pnm(path)
-    if channels == 1:
+def _image_floats(raw: np.ndarray) -> np.ndarray:
+    """(3, H, W) floats in [0, 1] of ``_parse_pnm`` pixels; grayscale is replicated."""
+    if raw.ndim == 2:
         plane = raw.astype(np.float64) / 255.0
         return np.stack([plane, plane, plane])
     return np.ascontiguousarray(raw.transpose(2, 0, 1)).astype(np.float64) / 255.0
 
 
+def load_image(path) -> np.ndarray:
+    """Read an image as (3, H, W) floats in [0, 1]; grayscale is replicated."""
+    return _image_floats(_parse_pnm(path))
+
+
 def load_map(path) -> np.ndarray:
     """Read a single-channel map as (H, W) floats in [0, 1]."""
-    channels, raw = _parse_pnm(path)
-    if channels != 1:
-        raise DataError(f"{path}: expected a single-channel PGM map, got a color image")
-    return raw.astype(np.float64) / 255.0
+    return _parse_map(path).astype(np.float64) / 255.0
 
 
 def _quantize(values: np.ndarray, path) -> np.ndarray:
@@ -294,13 +270,8 @@ def write_manifest(path, entries) -> None:
 
 
 def load_entry(manifest: Manifest, index: int) -> Sample:
-    image_path, gt_path = manifest.entries[index]
-    image = load_image(image_path)
-    target = load_map(gt_path)
-    if target.shape != image.shape[1:]:
-        raise DataError(f"{gt_path}: ground truth size {target.shape} does not match "
-                        f"image size {image.shape[1:]}")
-    return Sample(image=image, target=target[None])
+    image, gt = _read_entry(*manifest.entries[index])
+    return Sample(image=_image_floats(image), target=gt[None].astype(np.float64) / 255.0)
 
 
 def map_names(manifest: Manifest, edges: bool) -> list[tuple[str, ...]]:

@@ -302,9 +302,9 @@ def check_input_size(config: ModelConfig, h: int, w: int, name: str = "model inp
 def check_manifest_sizes(config: ModelConfig, manifest: Manifest) -> None:
     """``entry_size`` and ``check_input_size`` on every manifest entry.
 
-    Only headers and file sizes are read, so a run fails here before any
-    work or output, on a truncated file or a ground truth of another size
-    as on an image the model cannot take.
+    Each entry is read and checked as ``load_entry`` reads it, so a run
+    fails here before any work or output, on a truncated file or a ground
+    truth of another size as on an image the model cannot take.
     """
     for image_path, gt_path in manifest.entries:
         check_input_size(config, *padded_size(*entry_size(image_path, gt_path)),

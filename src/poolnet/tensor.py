@@ -8,19 +8,20 @@ output tensor.  ``conv2d`` works in one channel-major layout: a
 (out_c, n*oh*ow) output, and the output gradient in that same layout feeds
 both d_weight and d_input, so at batch 1 no operand is transposed.
 
-The conv forward builds that patch matrix for one band of output rows at a
-time and GEMMs each band into its slice of the output, so a layer's whole
-patch matrix (70 MB for the 16->16 conv at 304x400) never exists and each
-band is still in cache when its GEMM reads it.  Every output column is its
-own dot product over c*kh*kw, so a band gives the bits of the whole GEMM as
-long as BLAS runs the same kernel on both.  Below about 1e6 multiply-adds
-OpenBLAS's sgemm switches to a small-matrix kernel that rounds differently,
-so no band's GEMM may fall under a 2e6 floor, and a layer whose whole GEMM is
-under it stays one GEMM.  The VJP still builds the whole patch matrix once:
-d_weight sums over every output column, and summing it band by band would
-add partial sums in another order and change its bits.  It re-pads that
-matrix's input from the input's data with the forward's zero border
-(``_pad``) rather than keep a padded copy.
+The conv forward has one loop: it builds that patch matrix for one band of
+output rows at a time, across the whole batch, and GEMMs each band into its
+slice of one preallocated output.  So a layer's whole patch matrix (70 MB
+for the 16->16 conv at 304x400) never exists, and each band is still in
+cache when its GEMM reads it.  Every output column is its own dot product
+over c*kh*kw, so a band gives the bits of the whole GEMM as long as BLAS
+runs the same kernel on both.  Below about 1e6 multiply-adds OpenBLAS's
+sgemm switches to a small-matrix kernel that rounds differently, so no
+band's GEMM may fall under a 2e6 floor; a layer whose whole GEMM is under it
+is one band, and so still one GEMM.  The VJP still builds the whole patch
+matrix once: d_weight sums over every output column, and summing it band by
+band would add partial sums in another order and change its bits.  It
+re-pads that matrix's input from the input's data with the forward's zero
+border (``_pad``) rather than keep a padded copy.
 
 ``max_pool2d`` walks the rate x rate strided taps in row-major order under
 ``np.argmax``'s first-maximum, first-NaN rule and copies values as bit
@@ -188,10 +189,11 @@ def _check_rank4(t: Tensor, role: str) -> None:
 # convolution
 # ---------------------------------------------------------------------------
 
-# Per-band minimums of conv2d's forward (see the module docstring): about
-# 512 KB of patch matrix; 512 columns, as each band's GEMM packs the whole
-# weight matrix again, which narrow deep maps would otherwise repeat too
-# often; and the 2e6 multiply-add floor that keeps OpenBLAS on one kernel.
+# Per-band minimums of conv2d's forward (see the module docstring), each
+# counted for one image of the batch: about 512 KB of patch matrix; 512
+# columns, as each band's GEMM packs the whole weight matrix again, which
+# narrow deep maps would otherwise repeat too often; and the 2e6
+# multiply-add floor that keeps OpenBLAS on one kernel.
 _BAND_BYTES = 1 << 19
 _BAND_MIN_COLS = 512
 _BAND_MIN_MACS = 2_000_000
@@ -226,15 +228,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     xp = _pad(x_data, padding)
     w2 = weight.data.reshape(out_c, -1)
     edges = _band_edges(out_c, w2.shape[1], oh, ow, xp.itemsize)
-    if len(edges) == 2:
-        out = np.dot(w2, _im2col(xp, kh, kw, oh, ow, stride)).reshape(out_c, n, oh, ow)
-    else:
-        out = np.empty((out_c, n, oh, ow), dtype=np.result_type(xp, w2))
-        for b in range(n):
-            for r0, r1 in zip(edges[:-1], edges[1:]):
-                band = xp[b:b + 1, :, r0 * stride:(r1 - 1) * stride + kh]
-                cols = _im2col(band, kh, kw, r1 - r0, ow, stride)
-                out[:, b, r0:r1] = np.dot(w2, cols).reshape(out_c, r1 - r0, ow)
+    out = np.empty((out_c, n, oh, ow), dtype=np.result_type(xp, w2))
+    for r0, r1 in zip(edges[:-1], edges[1:]):
+        band = xp[:, :, r0 * stride:(r1 - 1) * stride + kh]
+        cols = _im2col(band, kh, kw, r1 - r0, ow, stride)
+        out[:, :, r0:r1] = np.dot(w2, cols).reshape(out_c, n, r1 - r0, ow)
     if bias is not None:
         out += bias.data[:, None, None, None]
     # decided at record time: an input with no lineage, such as the image,

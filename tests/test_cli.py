@@ -310,6 +310,41 @@ class TestExitCodes:
         assert all(str(data / f"{stem}.ppm") in err for stem in stems)
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["checkpoint-absent", "checkpoint-dir", "resume-absent",
+                                      "output-dir-file", "eval-out-dir-absent"])
+    def test_unusable_path_is_three(self, tmp_path, sal_dir, run_dir, capsys, case):
+        # a missing or unusable path is one data error line, never a traceback
+        manifest = str(sal_dir / "manifest.tsv")
+        out, pred = tmp_path / "out", tmp_path / "pred"
+        bad = tmp_path / "nope.ckpt"
+        if case == "checkpoint-dir":
+            bad = tmp_path
+        elif case == "output-dir-file":
+            bad = tmp_path / "a_file"
+            bad.write_text("")
+        elif case == "eval-out-dir-absent":
+            bad = tmp_path / "absent"
+            pred.mkdir()
+            for i in range(4):
+                (pred / f"img_{i:04d}.pgm").write_bytes((sal_dir / f"gt_{i:04d}.pgm").read_bytes())
+        argv = {
+            "checkpoint-absent": ["infer", "--checkpoint", str(bad), "--manifest", manifest,
+                                  "--output-dir", str(out)],
+            "checkpoint-dir": ["infer", "--checkpoint", str(bad), "--manifest", manifest,
+                               "--output-dir", str(out)],
+            "resume-absent": ["train", "--saliency-manifest", manifest, "--output-dir", str(out),
+                              "--resume", str(bad), *QUICK_TRAIN],
+            "output-dir-file": ["infer", "--checkpoint", str(run_dir / "final.ckpt"),
+                                "--manifest", manifest, "--output-dir", str(bad)],
+            "eval-out-dir-absent": ["eval", "--manifest", manifest, "--pred-dir", str(pred),
+                                    "--out", str(bad / "m.csv")],
+        }[case]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error:") and str(bad) in err
+        assert not out.exists()
+
     def test_poisoned_weights_are_four(self, tmp_path, sal_dir, run_dir, capsys):
         model, state = model_from_checkpoint(run_dir / "final.ckpt")
         model.head.weight.data[:] = np.inf
@@ -383,6 +418,43 @@ class TestConfigPrecedence:
         model, _ = model_from_checkpoint(out / "final.ckpt")
         assert model.config.backbone_widths == (4, 4, 6, 6, 8)
         assert model.config.enable_edge is True
+
+
+class TestJointEdgeRule:
+    # joint_edge needs an edge branch in the model being trained, which a
+    # resumed run takes from its checkpoint, not from the model flags
+    @pytest.fixture(scope="class")
+    def edge_dir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cli_edge")
+        assert main(["synth", "--kind", "edge", "--count", "2", "--size", "32",
+                     "--output-dir", str(path)]) == 0
+        return path
+
+    def test_resumed_edge_run_needs_no_enable_edge_flag(self, tmp_path, sal_dir, edge_dir):
+        joint = ["--saliency-manifest", str(sal_dir / "manifest.tsv"),
+                 "--edge-manifest", str(edge_dir / "manifest.tsv"), "--joint-edge"]
+        first = tmp_path / "first"
+        assert main(["train", *joint, "--enable-edge", "--output-dir", str(first),
+                     *MICRO_MODEL, *QUICK_TRAIN]) == 0
+        assert main(["train", *joint, "--resume", str(first / "final.ckpt"),
+                     "--output-dir", str(tmp_path / "resumed"), "--epochs", "2",
+                     "--lr-drop-epoch", "1", "--seed", "0"]) == 0
+        assert (tmp_path / "resumed" / "final.ckpt").is_file()
+
+    def test_fresh_run_without_edge_branch_is_two(self, tmp_path, sal_dir, edge_dir, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--saliency-manifest", str(sal_dir / "manifest.tsv"),
+                     "--edge-manifest", str(edge_dir / "manifest.tsv"), "--joint-edge",
+                     "--output-dir", str(out), *MICRO_MODEL, *QUICK_TRAIN]) == 2
+        assert "requires a model with enable_edge" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infer_ignores_joint_edge_in_a_config_file(self, tmp_path, sal_dir, run_dir):
+        config = tmp_path / "run.cfg"
+        config.write_text("joint_edge = true\n")
+        assert main(["infer", "--config", str(config), "--checkpoint", str(run_dir / "final.ckpt"),
+                     "--manifest", str(sal_dir / "manifest.tsv"),
+                     "--output-dir", str(tmp_path / "out")]) == 0
 
 
 class TestPipeline:

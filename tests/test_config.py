@@ -193,10 +193,6 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError):
             build_run_config(read_config_file(path))
 
-    def test_joint_edge_without_edge_branch_raises(self):
-        with pytest.raises(ConfigError):
-            build_run_config(overrides={"joint_edge": True})
-
     def test_validation_runs_on_result(self):
         with pytest.raises(ConfigError):
             build_run_config(overrides={"fam_rates": (3, 2)})

@@ -8,6 +8,7 @@ import pytest
 
 import poolnet.data as data_mod
 from poolnet.data import (
+    Manifest,
     Sample,
     crop_to_original,
     entry_size,
@@ -28,6 +29,8 @@ from poolnet.errors import DataError, NumericError
 
 # P5, 3x2, maxval 255, rows (0, 128, 255) and (10, 20, 30)
 PGM_FIXTURE = b"P5\n3 2\n255\n" + bytes([0, 128, 255, 10, 20, 30])
+# P6, 3x2, maxval 255, every channel of every pixel 0
+PPM_FIXTURE = b"P6\n3 2\n255\n" + bytes(18)
 
 
 class TestPnmRead:
@@ -85,29 +88,42 @@ class TestPnmRead:
         with pytest.raises(DataError):
             load_map(tmp_path / "absent.pgm")
 
-    # entry_size reads an image's size from its header and its ground
-    # truth's; each case below spoils the image, beside a good 2x3 map
-    def ground_truth(self, tmp_path):
-        path = tmp_path / "gt.pgm"
-        path.write_bytes(b"P5\n3 2\n255\n" + bytes(6))
-        return path
+    # entry_size reads a manifest entry as load_entry does: each case below
+    # spoils one file of a 2x3 image and ground-truth pair, and both must
+    # refuse it with the same message
+    def entry(self, tmp_path, image, gt):
+        """An (image, ground truth) path pair; a blob of None leaves the file absent."""
+        paths = (tmp_path / "img.pnm", tmp_path / "gt.pnm")
+        for path, blob in zip(paths, (image, gt)):
+            if blob is not None:
+                path.write_bytes(blob)
+        return paths
 
     def test_image_size_reads_past_a_long_header(self, tmp_path):
-        path = tmp_path / "m.pgm"
-        path.write_bytes(b"P5\n#" + b"x" * 5000 + b"\n3 2\n255\n" + bytes(6))
-        assert entry_size(path, self.ground_truth(tmp_path)) == (2, 3) == load_map(path).shape
+        entry = self.entry(tmp_path, b"P5\n#" + b"x" * 5000 + b"\n3 2\n255\n" + bytes(6),
+                           PGM_FIXTURE)
+        sample = load_entry(Manifest([entry], "saliency"), 0)
+        assert entry_size(*entry) == (2, 3) == sample.image.shape[1:] == sample.target.shape[1:]
 
-    @pytest.mark.parametrize("blob", [b"P4\n1 1\n255\n\x00", b"P5\n0 2\n255\n",
-                                      b"P5\n2 2\n25" + b"5" * 5000, b"", None,
-                                      b"P6\n# c\n3 2\n255\n" + bytes(17)],
-                             ids=["magic", "dims", "long-maxval", "empty", "absent",
-                                  "truncated"])
-    def test_image_size_rejects_bad_headers(self, tmp_path, blob):
-        path = tmp_path / "bad.pnm"
-        if blob is not None:
-            path.write_bytes(blob)
-        with pytest.raises(DataError):
-            entry_size(path, self.ground_truth(tmp_path))
+    @pytest.mark.parametrize("image,gt", [
+        (b"P4\n1 1\n255\n\x00", PGM_FIXTURE),
+        (b"P5\n0 2\n255\n", PGM_FIXTURE),
+        (b"P5\n2 2\n25" + b"5" * 5000, PGM_FIXTURE),
+        (b"", PGM_FIXTURE),
+        (None, PGM_FIXTURE),
+        (b"P6\n# c\n3 2\n255\n" + bytes(17), PGM_FIXTURE),
+        (PPM_FIXTURE, PGM_FIXTURE[:-1]),
+        (PPM_FIXTURE, PPM_FIXTURE),
+        (PPM_FIXTURE, b"P5\n2 3\n255\n" + bytes(6)),
+    ], ids=["magic", "dims", "long-maxval", "empty", "absent", "truncated",
+            "gt-truncated", "gt-color", "gt-size"])
+    def test_image_size_rejects_bad_headers(self, tmp_path, image, gt):
+        entry = self.entry(tmp_path, image, gt)
+        with pytest.raises(DataError) as checked:
+            entry_size(*entry)
+        with pytest.raises(DataError) as loaded:
+            load_entry(Manifest([entry], "saliency"), 0)
+        assert str(checked.value) == str(loaded.value)
 
 
 class TestPnmWrite:
