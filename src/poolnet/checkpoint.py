@@ -21,6 +21,7 @@ from .errors import CheckpointError
 
 MAGIC = b"PNLB1"
 MAX_RANK = 32  # the lowest ndarray rank limit across NumPy versions
+MAX_INT = 2 ** 24  # float32 holds every integer up to here exactly
 
 
 def save_checkpoint(path, records: dict[str, np.ndarray]) -> None:
@@ -77,3 +78,18 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise CheckpointError(f"{path}: duplicate record {name!r}")
         records[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     return records
+
+
+def read_ints(records: dict[str, np.ndarray], key: str,
+              count: int | None = None) -> tuple[int, ...]:
+    """Record ``key`` as integers from 0 to ``MAX_INT``, ``count`` of them if
+    given; anything else, or no such record, is a ``CheckpointError`` naming it."""
+    if key not in records:
+        raise CheckpointError(f"checkpoint lacks record {key!r}")
+    values = records[key].reshape(-1)
+    if count is not None and values.size != count:
+        raise CheckpointError(f"record {key!r} needs {count} values, got {values.size}")
+    if not np.all((values >= 0) & (values <= MAX_INT) & (values == np.round(values))):
+        raise CheckpointError(f"record {key!r} must hold integers from 0 to {MAX_INT}, "
+                              f"got {values.tolist()}")
+    return tuple(int(v) for v in values)

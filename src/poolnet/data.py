@@ -12,7 +12,7 @@ is always the same arrays, no matter how many samples are drawn around it.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -37,7 +37,8 @@ def atomic_open(path, mode: str, **kwargs) -> Iterator:
 
     ``path`` is thus either the old file or the complete new one, never a
     torn write.  There is no fsync: this guards against a crashed process,
-    not against power loss.
+    not against power loss.  An ``OSError`` about the temporary file is
+    re-raised naming ``path``, the file the caller asked for.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -45,8 +46,11 @@ def atomic_open(path, mode: str, **kwargs) -> Iterator:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, read_ints, save_checkpoint
 from .config import ModelConfig
 from .data import PAD_MULTIPLE, Manifest, entry_size, padded_size
 from .errors import CheckpointError, ConfigError, ShapeError
@@ -299,24 +299,23 @@ def check_input_size(config: ModelConfig, h: int, w: int, name: str = "model inp
                              f"or smaller ppm_sizes")
 
 
-def check_manifest_sizes(config: ModelConfig, manifest: Manifest) -> None:
-    """``entry_size`` and ``check_input_size`` on every manifest entry.
+def check_manifest_sizes(config: ModelConfig, manifest: Manifest) -> list[tuple[int, int]]:
+    """Every manifest entry's padded (H, W), each checked by ``check_input_size``.
 
     Each entry is read and checked as ``load_entry`` reads it, so a run
     fails here before any work or output, on a truncated file or a ground
     truth of another size as on an image the model cannot take.
     """
+    sizes = []
     for image_path, gt_path in manifest.entries:
-        check_input_size(config, *padded_size(*entry_size(image_path, gt_path)),
-                         name=f"{image_path}: padded input")
+        sizes.append(padded_size(*entry_size(image_path, gt_path)))
+        check_input_size(config, *sizes[-1], name=f"{image_path}: padded input")
+    return sizes
 
 
 def build_model(config: ModelConfig, seed: int = 0) -> SaliencyNet:
     """Construct a seeded model; identical arguments give identical weights."""
-    rng = np.random.default_rng([seed, 0])
-    model = SaliencyNet(config, rng)
-    model.finalize_names()
-    return model
+    return SaliencyNet(config, np.random.default_rng([seed, 0]))
 
 
 # A model file is a checkpoint container holding every parameter record, then
@@ -338,22 +337,8 @@ def config_to_state(config: ModelConfig) -> dict[str, np.ndarray]:
 
 
 def config_from_state(state: dict[str, np.ndarray]) -> ModelConfig:
-    missing = [key for key in _CONFIG_KEYS if key not in state]
-    if missing:
-        raise CheckpointError(f"checkpoint lacks architecture records: {', '.join(missing)}")
-
-    def ints(key: str) -> tuple[int, ...]:
-        values = state[key].reshape(-1)
-        if not np.all(np.isfinite(values) & (values == np.round(values))):
-            raise CheckpointError(f"architecture record {key!r} holds non-integral "
-                                  f"values: {values.tolist()}")
-        return tuple(int(v) for v in values)
-
-    switches = ints("config/switches")
-    if len(switches) != len(_SWITCH_FIELDS):
-        raise CheckpointError(f"architecture record 'config/switches' needs "
-                              f"{len(_SWITCH_FIELDS)} values, got {len(switches)}")
-    return ModelConfig(**{name: ints(f"config/{name}") for name in _WIDTH_FIELDS},
+    switches = read_ints(state, "config/switches", len(_SWITCH_FIELDS))
+    return ModelConfig(**{name: read_ints(state, f"config/{name}") for name in _WIDTH_FIELDS},
                        **{name: bool(v) for name, v in zip(_SWITCH_FIELDS, switches)})
 
 
@@ -416,6 +401,4 @@ def model_from_checkpoint(path) -> tuple[SaliencyNet, dict[str, np.ndarray]]:
     if params:
         extras = ", ".join(sorted(params))
         raise CheckpointError(f"checkpoint has records unknown to the model: {extras}")
-    for key in _CONFIG_KEYS:
-        del state[key]
-    return model, state
+    return model, {key: arr for key, arr in state.items() if key not in _CONFIG_KEYS}

@@ -16,13 +16,13 @@ from .tensor import Tensor, conv2d, get_default_dtype
 
 
 class Parameter(Tensor):
-    """A leaf tensor tracked by a model; ``name`` is filled in by the owning model."""
+    """A leaf tensor tracked by a model.  It holds no name: its path in the
+    module tree, as ``Module.named_parameters`` yields it, is its name."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, data, name: str = "", dtype=None):
+    def __init__(self, data, dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
-        self.name = name
 
 
 class Module:
@@ -61,37 +61,26 @@ class Module:
     def num_parameters(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
-    def finalize_names(self) -> None:
-        """Assign hierarchical names to every parameter and check uniqueness."""
-        seen = set()
-        for name, param in self.named_parameters():
-            if name in seen:
-                raise ShapeError(f"duplicate parameter name {name!r}")
-            seen.add(name)
-            param.name = name
-
 
 class ModuleList(Module):
     """An indexable list of modules registered under their positions."""
 
     def __init__(self, modules=()):
         super().__init__()
-        self._items = []
         for m in modules:
             self.append(m)
 
     def append(self, module: Module) -> None:
-        self._modules[str(len(self._items))] = module
-        self._items.append(module)
+        self._modules[str(len(self._modules))] = module
 
     def __iter__(self):
-        return iter(self._items)
+        return iter(self._modules.values())
 
     def __getitem__(self, idx: int) -> Module:
-        return self._items[idx]
+        return list(self._modules.values())[idx]
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._modules)
 
 
 def glorot_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:

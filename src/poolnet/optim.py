@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checkpoint import read_ints
 from .config import TrainConfig
 from .errors import CheckpointError
 from .nn import Parameter
@@ -24,19 +25,21 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 class Adam:
     """Adam with bias correction; weight decay is added to the gradient.
 
+    It takes the ``(name, parameter)`` pairs of ``Module.named_parameters``.
     A parameter without a gradient is an error unless ``require_grads`` is
     false, in which case it is skipped untouched -- alternating training
     leaves each step type's unused branch without gradients by design.  Bias
     correction therefore counts updates per parameter.  ``state_dict``
-    exports the moments flat (keyed by parameter name) so they can ride
-    inside a checkpoint.
+    exports the moments flat (``opt/m/<name>``) to ride inside a checkpoint.
     """
 
-    def __init__(self, params, lr: float, weight_decay: float = 0.0,
+    def __init__(self, named_params, lr: float, weight_decay: float = 0.0,
                  require_grads: bool = True):
-        self.params: list[Parameter] = list(params)
-        if not self.params:
+        named = list(named_params)
+        if not named:
             raise ValueError("Adam: no parameters")
+        self.names: list[str] = [name for name, _ in named]
+        self.params: list[Parameter] = [p for _, p in named]
         self.lr = lr
         self.weight_decay = weight_decay
         self.require_grads = require_grads
@@ -44,10 +47,6 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.updates = np.zeros(len(self.params), dtype=np.int64)
-
-    def _key(self, index: int) -> str:
-        name = self.params[index].name
-        return name if name else f"param{index}"
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -58,7 +57,7 @@ class Adam:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 if self.require_grads:
-                    raise ValueError(f"Adam: parameter {self._key(i)!r} has no gradient; "
+                    raise ValueError(f"Adam: parameter {self.names[i]!r} has no gradient; "
                                      "was backward run?")
                 continue
             g = p.grad.astype(p.dtype, copy=False)
@@ -75,28 +74,21 @@ class Adam:
     def state_dict(self) -> dict[str, np.ndarray]:
         out = {"opt/step": np.asarray([self.step_count], dtype=np.float32),
                "opt/updates": self.updates.astype(np.float32)}
-        for i in range(len(self.params)):
-            key = self._key(i)
-            out[f"opt/m/{key}"] = self.m[i]
-            out[f"opt/v/{key}"] = self.v[i]
+        for name, m, v in zip(self.names, self.m, self.v):
+            out[f"opt/m/{name}"] = m
+            out[f"opt/v/{name}"] = v
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for required in ("opt/step", "opt/updates"):
-            if required not in state:
-                raise CheckpointError(f"optimizer state lacks {required!r}")
-        if state["opt/updates"].shape != self.updates.shape:
-            raise CheckpointError(f"optimizer state tracks {state['opt/updates'].size} "
-                                  f"parameters, expected {self.updates.size}")
-        self.step_count = int(state["opt/step"][0])
-        self.updates = state["opt/updates"].astype(np.int64)
-        for i, p in enumerate(self.params):
-            key = self._key(i)
+        (self.step_count,) = read_ints(state, "opt/step", 1)
+        self.updates = np.asarray(read_ints(state, "opt/updates", len(self.params)),
+                                  dtype=np.int64)
+        for i, (name, p) in enumerate(zip(self.names, self.params)):
             for stash, label in ((self.m, "m"), (self.v, "v")):
-                record = state.get(f"opt/{label}/{key}")
+                record = state.get(f"opt/{label}/{name}")
                 if record is None:
-                    raise CheckpointError(f"optimizer state lacks 'opt/{label}/{key}'")
+                    raise CheckpointError(f"optimizer state lacks 'opt/{label}/{name}'")
                 if record.shape != p.data.shape:
-                    raise CheckpointError(f"optimizer record 'opt/{label}/{key}' has shape "
+                    raise CheckpointError(f"optimizer record 'opt/{label}/{name}' has shape "
                                           f"{record.shape}, expected {p.data.shape}")
                 stash[i] = record.astype(p.dtype, copy=True)

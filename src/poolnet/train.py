@@ -9,8 +9,9 @@ from the configured seed, making identical-seed runs bitwise identical.
 One step's autograd graph is alive at a time: ``_train_step`` owns the
 forward's outputs and the loss, so the graph is freed when it returns,
 before the next batch is loaded and its forward builds another.  Before
-the first step, every manifest image's padded size is checked against the
-model's minimum from its header alone.
+the first step and before any output, every manifest entry is read as the
+loader reads it: its padded size must suit the model, and every batch's
+entries must share one padded size.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .config import TrainConfig
-from .data import Manifest, Sample, atomic_open, load_entry, pad_to_multiple
+from .checkpoint import read_ints
+from .config import ModelConfig, TrainConfig
+from .data import Manifest, atomic_open, load_entry, pad_to_multiple
 from .errors import ConfigError, DataError, NumericError
 from .losses import balanced_bce_with_logits, bce_with_logits
 from .model import SaliencyNet, check_manifest_sizes, save_model_with_config
@@ -70,24 +72,26 @@ def augment_hflip(image: np.ndarray, target: np.ndarray,
     return image, target
 
 
-def _batches(count: int, batch_size: int) -> list[list[int]]:
-    return [list(range(lo, min(lo + batch_size, count)))
-            for lo in range(0, count, batch_size)]
+def _checked_batches(model_config: ModelConfig, manifest: Manifest,
+                     batch_size: int) -> list[list[int]]:
+    """Consecutive index batches of ``manifest``, after ``check_manifest_sizes``;
+    the entries of a batch must share one padded size to stack."""
+    sizes = check_manifest_sizes(model_config, manifest)
+    batches = [list(range(lo, min(lo + batch_size, len(sizes))))
+               for lo in range(0, len(sizes), batch_size)]
+    for first, *rest in batches:
+        for i in rest:
+            if sizes[i] != sizes[first]:
+                raise DataError(f"cannot batch {manifest.entries[first][0]} and "
+                                f"{manifest.entries[i][0]}: padded sizes {sizes[first]} and "
+                                f"{sizes[i]} differ; use batch_size 1 for variable-size data")
+    return batches
 
 
 def _stack_batch(manifest: Manifest, indices: list[int],
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    images = []
-    targets = []
-    for i in indices:
-        sample = pad_to_multiple(load_entry(manifest, i))
-        image, target = augment_hflip(sample.image, sample.target, rng)
-        images.append(image)
-        targets.append(target)
-    shapes = {img.shape for img in images}
-    if len(shapes) > 1:
-        raise DataError(f"cannot stack a batch of mixed sizes {sorted(shapes)}; "
-                        "use batch_size 1 for variable-size data")
+    samples = (pad_to_multiple(load_entry(manifest, i)) for i in indices)
+    images, targets = zip(*(augment_hflip(s.image, s.target, rng) for s in samples))
     return np.stack(images), np.stack(targets)
 
 
@@ -118,23 +122,19 @@ def train_model(model: SaliencyNet, config: TrainConfig, saliency_data: Manifest
             raise ConfigError("joint_edge training requires an edge manifest")
         if edge_data.kind != "edge":
             raise DataError(f"edge manifest has kind {edge_data.kind!r}")
-        check_manifest_sizes(model.config, edge_data)
-    check_manifest_sizes(model.config, saliency_data)
+        edge_batches = _checked_batches(model.config, edge_data, config.batch_size)
+    saliency_batches = _checked_batches(model.config, saliency_data, config.batch_size)
 
     # an edge-equipped model always has branch-private parameters the current
     # loss cannot reach (side heads under the saliency loss, the fusion head
     # under the edge loss), so only edge-free training demands full coverage
-    optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay,
+    optimizer = Adam(model.named_parameters(), lr=config.lr, weight_decay=config.weight_decay,
                      require_grads=not model.config.enable_edge)
     start_epoch = 0
     if resume_state is not None:
         optimizer.load_state_dict(resume_state)
-        if "progress/epoch" not in resume_state:
-            raise ConfigError("resume state lacks 'progress/epoch'")
-        start_epoch = int(resume_state["progress/epoch"][0]) + 1
+        start_epoch = read_ints(resume_state, "progress/epoch", 1)[0] + 1
 
-    saliency_batches = _batches(len(saliency_data), config.batch_size)
-    edge_batches = _batches(len(edge_data), config.batch_size) if edge_data else []
 
     output_dir = Path(output_dir) if output_dir is not None else None
     if output_dir is not None:

@@ -13,8 +13,9 @@ import pytest
 from poolnet.checkpoint import load_checkpoint, save_checkpoint
 from poolnet.cli import build_parser, main
 from poolnet.config import CONFIG_FIELDS, ModelConfig, RunConfig, TrainConfig
-from poolnet.data import load_map, write_manifest
-from poolnet.model import build_model, model_from_checkpoint, save_model_with_config
+from poolnet.data import load_manifest, load_map, write_manifest
+from poolnet.model import SaliencyNet, build_model, model_from_checkpoint, save_model_with_config
+from poolnet.train import train_model
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -311,7 +312,8 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["checkpoint-absent", "checkpoint-dir", "resume-absent",
-                                      "output-dir-file", "eval-out-dir-absent"])
+                                      "output-dir-file", "eval-out-dir-absent",
+                                      "eval-out-is-dir", "eval-out-under-file"])
     def test_unusable_path_is_three(self, tmp_path, sal_dir, run_dir, capsys, case):
         # a missing or unusable path is one data error line, never a traceback
         manifest = str(sal_dir / "manifest.tsv")
@@ -322,8 +324,12 @@ class TestExitCodes:
         elif case == "output-dir-file":
             bad = tmp_path / "a_file"
             bad.write_text("")
-        elif case == "eval-out-dir-absent":
-            bad = tmp_path / "absent"
+        elif case.startswith("eval-out"):
+            bad = tmp_path / case
+            if case == "eval-out-is-dir":
+                bad.mkdir()
+            elif case == "eval-out-under-file":
+                bad.write_text("")
             pred.mkdir()
             for i in range(4):
                 (pred / f"img_{i:04d}.pgm").write_bytes((sal_dir / f"gt_{i:04d}.pgm").read_bytes())
@@ -338,11 +344,19 @@ class TestExitCodes:
                                 "--manifest", manifest, "--output-dir", str(bad)],
             "eval-out-dir-absent": ["eval", "--manifest", manifest, "--pred-dir", str(pred),
                                     "--out", str(bad / "m.csv")],
+            "eval-out-is-dir": ["eval", "--manifest", manifest, "--pred-dir", str(pred),
+                                "--out", str(bad)],
+            "eval-out-under-file": ["eval", "--manifest", manifest, "--pred-dir", str(pred),
+                                    "--out", str(bad / "m.csv")],
         }[case]
         capsys.readouterr()
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("data error:") and str(bad) in err
+        # the path asked for, never the hidden temporary file written beside it
+        assert ".tmp" not in err.replace(str(tmp_path), "")
+        if case in ("eval-out-dir-absent", "eval-out-under-file"):
+            assert str(bad / "m.csv") in err
         assert not out.exists()
 
     def test_poisoned_weights_are_four(self, tmp_path, sal_dir, run_dir, capsys):
@@ -456,6 +470,53 @@ class TestJointEdgeRule:
                      "--manifest", str(sal_dir / "manifest.tsv"),
                      "--output-dir", str(tmp_path / "out")]) == 0
 
+
+# each case rewrites one stored counter of a trained run's final.ckpt
+CORRUPT_RECORDS = {
+    "epoch-absent": ("progress/epoch", lambda arr: None),
+    "epoch-nan": ("progress/epoch", lambda arr: [np.nan]),
+    "epoch-empty": ("progress/epoch", lambda arr: []),
+    "epoch-negative": ("progress/epoch", lambda arr: [-1.0]),
+    "step-nan": ("opt/step", lambda arr: [np.nan]),
+    "updates-nan": ("opt/updates", lambda arr: np.full_like(arr, np.nan)),
+    "updates-huge": ("opt/updates", lambda arr: np.full_like(arr, 1e30)),
+    "updates-count": ("opt/updates", lambda arr: arr[:-1]),
+}
+
+
+class TestResume:
+    RESUME = ["--epochs", "2", "--lr-drop-epoch", "1", "--seed", "0"]
+
+    def test_model_built_without_build_model_resumes(self, tmp_path, sal_dir):
+        # optimizer records are keyed by module path however the model was built
+        config = ModelConfig(backbone_widths=(4, 6, 6, 8, 8), ppm_sizes=(2,), fam_rates=(2, 4))
+        model = SaliencyNet(config, np.random.default_rng(0))
+        manifest = sal_dir / "manifest.tsv"
+        train_model(model, TrainConfig(epochs=1, lr_drop_epoch=0, seed=0),
+                    load_manifest(manifest, "saliency"), output_dir=tmp_path / "first")
+        assert main(["train", "--saliency-manifest", str(manifest),
+                     "--resume", str(tmp_path / "first" / "final.ckpt"),
+                     "--output-dir", str(tmp_path / "resumed"), *self.RESUME]) == 0
+        assert (tmp_path / "resumed" / "final.ckpt").is_file()
+
+    @pytest.mark.parametrize("case", list(CORRUPT_RECORDS))
+    def test_corrupt_counter_is_three(self, tmp_path, sal_dir, run_dir, capsys, case):
+        key, corrupt = CORRUPT_RECORDS[case]
+        records = load_checkpoint(run_dir / "final.ckpt")
+        value = corrupt(records["_state/" + key])
+        if value is None:
+            del records["_state/" + key]
+        else:
+            records["_state/" + key] = np.asarray(value, dtype=np.float32)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, records)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["train", "--saliency-manifest", str(sal_dir / "manifest.tsv"),
+                     "--resume", str(bad), "--output-dir", str(out), *self.RESUME]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error:") and repr(key) in err
+        assert not out.exists()
 
 class TestPipeline:
     def test_train_writes_checkpoints_and_log(self, run_dir):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import poolnet
 from poolnet.config import (
     ABLATION_ROWS,
     DESK_WIDTHS,
@@ -214,8 +215,11 @@ class TestThreadCap:
             thread_cap()
 
     def test_import_ignores_invalid_value(self):
-        # a superscript digit passes str.isdigit but not int()
-        env = dict(os.environ, POOLNET_THREADS="\u00b2")
+        # a superscript digit passes str.isdigit but not int(); the child sees
+        # the package through PYTHONPATH, as pytest's own pythonpath is not inherited
+        package_root = os.path.dirname(os.path.dirname(poolnet.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, POOLNET_THREADS="\u00b2", PYTHONPATH=path)
         done = subprocess.run([sys.executable, "-c", "import poolnet"], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr

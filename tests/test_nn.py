@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from poolnet.config import ModelConfig
+from poolnet.model import build_model
 from poolnet.nn import Conv2d, Module, ModuleList, Parameter, glorot_uniform
+from poolnet.optim import Adam
 from poolnet.tensor import Tensor, backward, reduce_sum
 
 
@@ -41,11 +44,13 @@ class TestModuleRegistration:
         # 3*2*3*3 + 3 + 1*3*1*1 + 1
         assert model.num_parameters() == 54 + 3 + 3 + 1
 
-    def test_finalize_names_writes_dotted_paths(self):
-        model = TwoConv(np.random.default_rng(0))
-        model.finalize_names()
-        assert {p.name for p in model.parameters()} == {
-            "first.weight", "first.bias", "second.weight", "second.bias"}
+    def test_adam_state_is_keyed_by_module_paths(self):
+        model = build_model(ModelConfig(backbone_widths=(4, 6, 6, 8, 8), ppm_sizes=(2,),
+                                        fam_rates=(2, 4)), seed=0)
+        paths = [name for name, _ in model.named_parameters()]
+        state = Adam(model.named_parameters(), lr=0.1).state_dict()
+        assert [key[len("opt/m/"):] for key in state if key.startswith("opt/m/")] == paths
+        assert "backbone.stages.0.conv1.conv.weight" in paths
 
     def test_zero_grad_clears_every_parameter(self):
         model = TwoConv(np.random.default_rng(0))

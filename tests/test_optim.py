@@ -11,8 +11,8 @@ from poolnet.optim import Adam, lr_at
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-def param(values, name="p"):
-    return Parameter(np.asarray(values, dtype=np.float64), name=name, dtype=np.float64)
+def param(values):
+    return Parameter(np.asarray(values, dtype=np.float64), dtype=np.float64)
 
 
 def reference_adam(values, grads, lr, weight_decay=0.0):
@@ -35,12 +35,12 @@ class TestAdamStep:
         # unit gradient: both bias-corrected moments are exactly 1
         p = param([1.0])
         p.grad = np.array([1.0])
-        Adam([p], lr=0.1).step()
+        Adam([("p", p)], lr=0.1).step()
         assert p.data[0] == pytest.approx(1.0 - 0.1 / (1.0 + EPS), abs=1e-15)
 
     def test_constant_gradient_moves_by_about_lr(self):
         p = param([0.0])
-        opt = Adam([p], lr=0.01)
+        opt = Adam([("p", p)], lr=0.01)
         for _ in range(10):
             p.grad = np.array([3.0])
             opt.step()
@@ -52,7 +52,7 @@ class TestAdamStep:
         values = rng.normal(size=5)
         grads = [rng.normal(size=5) for _ in range(7)]
         p = param(values)
-        opt = Adam([p], lr=0.05, weight_decay=0.01)
+        opt = Adam([("p", p)], lr=0.05, weight_decay=0.01)
         expected = values.copy()
         m = np.zeros(5)
         v = np.zeros(5)
@@ -70,7 +70,7 @@ class TestAdamStep:
         # zero gradient but nonzero decay still moves the parameter
         p = param([2.0])
         p.grad = np.zeros(1)
-        Adam([p], lr=0.1, weight_decay=0.5).step()
+        Adam([("p", p)], lr=0.1, weight_decay=0.5).step()
         expected = reference_adam([2.0], [np.zeros(1)], 0.1, weight_decay=0.5)
         assert p.data[0] == expected[0]
         assert p.data[0] < 2.0
@@ -78,13 +78,13 @@ class TestAdamStep:
     def test_zero_lr_is_exact_noop(self):
         p = param([1.25])
         p.grad = np.array([0.7])
-        Adam([p], lr=0.0).step()
+        Adam([("p", p)], lr=0.0).step()
         assert p.data[0] == 1.25
 
     def test_missing_gradient_names_the_parameter(self):
-        p = param([1.0], name="head.weight")
+        p = param([1.0])
         with pytest.raises(ValueError, match="head.weight"):
-            Adam([p], lr=0.1).step()
+            Adam([("head.weight", p)], lr=0.1).step()
 
     def test_no_trainable_parameters_raises(self):
         with pytest.raises(ValueError):
@@ -92,7 +92,7 @@ class TestAdamStep:
 
     def test_step_counter_advances(self):
         p = param([0.0])
-        opt = Adam([p], lr=0.1)
+        opt = Adam([("p", p)], lr=0.1)
         for expected in (1, 2, 3):
             p.grad = np.array([1.0])
             opt.step()
@@ -101,9 +101,9 @@ class TestAdamStep:
 
 class TestSkippedParameters:
     def test_skipped_parameter_is_untouched(self):
-        a = param([1.0], name="a")
-        b = param([5.0], name="b")
-        opt = Adam([a, b], lr=0.1, require_grads=False)
+        a = param([1.0])
+        b = param([5.0])
+        opt = Adam([("a", a), ("b", b)], lr=0.1, require_grads=False)
         a.grad = np.array([1.0])
         opt.step()
         assert b.data[0] == 5.0
@@ -114,9 +114,9 @@ class TestSkippedParameters:
         # parameter stepped with only those gradients
         rng = np.random.default_rng(4)
         grads = [rng.normal(size=2) for _ in range(6)]
-        a = param([0.5, -0.5], name="a")
-        b = param([1.0, 2.0], name="b")
-        opt = Adam([a, b], lr=0.02, require_grads=False)
+        a = param([0.5, -0.5])
+        b = param([1.0, 2.0])
+        opt = Adam([("a", a), ("b", b)], lr=0.02, require_grads=False)
         for i, g in enumerate(grads):
             a.grad = g.copy()
             b.grad = g.copy() if i % 2 == 0 else None
@@ -125,8 +125,8 @@ class TestSkippedParameters:
         assert np.allclose(b.data, solo, atol=1e-14)
 
     def test_require_grads_true_still_raises(self):
-        a = param([1.0], name="a")
-        opt = Adam([a], lr=0.1, require_grads=True)
+        a = param([1.0])
+        opt = Adam([("a", a)], lr=0.1, require_grads=True)
         with pytest.raises(ValueError):
             opt.step()
 
@@ -141,44 +141,44 @@ class TestOptimizerState:
         rng = np.random.default_rng(11)
         grads = [rng.normal(size=3) for _ in range(8)]
         p_full = param(np.ones(3))
-        full = Adam([p_full], lr=0.03)
+        full = Adam([("p", p_full)], lr=0.03)
         self.run_steps(full, p_full, grads)
 
         p_resumed = param(np.ones(3))
-        first = Adam([p_resumed], lr=0.03)
+        first = Adam([("p", p_resumed)], lr=0.03)
         self.run_steps(first, p_resumed, grads[:4])
         state = first.state_dict()
-        second = Adam([p_resumed], lr=0.03)
+        second = Adam([("p", p_resumed)], lr=0.03)
         second.load_state_dict(state)
         self.run_steps(second, p_resumed, grads[4:])
         assert np.array_equal(p_resumed.data, p_full.data)
         assert second.step_count == full.step_count
 
     def test_state_dict_keys_use_parameter_names(self):
-        p = param([1.0], name="layer.weight")
-        opt = Adam([p], lr=0.1)
+        p = param([1.0])
+        opt = Adam([("layer.weight", p)], lr=0.1)
         keys = set(opt.state_dict())
         assert keys == {"opt/step", "opt/updates", "opt/m/layer.weight", "opt/v/layer.weight"}
 
     def test_missing_moment_record_raises(self):
-        p = param([1.0], name="w")
-        opt = Adam([p], lr=0.1)
+        p = param([1.0])
+        opt = Adam([("w", p)], lr=0.1)
         state = opt.state_dict()
         del state["opt/m/w"]
         with pytest.raises(CheckpointError):
-            Adam([p], lr=0.1).load_state_dict(state)
+            Adam([("w", p)], lr=0.1).load_state_dict(state)
 
     def test_shape_mismatch_raises(self):
-        p = param([1.0], name="w")
-        state = Adam([p], lr=0.1).state_dict()
-        wider = param([1.0, 2.0], name="w")
+        p = param([1.0])
+        state = Adam([("w", p)], lr=0.1).state_dict()
+        wider = param([1.0, 2.0])
         with pytest.raises(CheckpointError):
-            Adam([wider], lr=0.1).load_state_dict(state)
+            Adam([("w", wider)], lr=0.1).load_state_dict(state)
 
     def test_zero_grad_clears_parameters(self):
         p = param([1.0])
         p.grad = np.ones(1)
-        Adam([p], lr=0.1).zero_grad()
+        Adam([("p", p)], lr=0.1).zero_grad()
         assert p.grad is None
 
 

@@ -199,8 +199,12 @@ class TestTrainingLoop:
                        [("img_0.ppm", "gt_0.pgm"), ("img_1.ppm", "gt_1.pgm")])
         manifest = load_manifest(tmp_path / "manifest.tsv", "saliency")
         model = build_model(tiny_config(), seed=0)
-        with pytest.raises(DataError, match="batch_size 1"):
-            train_model(model, tiny_train(batch_size=2), manifest)
+        # refused before any step or output, naming both images
+        with pytest.raises(DataError, match="batch_size 1") as info:
+            train_model(model, tiny_train(batch_size=2), manifest,
+                        output_dir=tmp_path / "mixrun")
+        assert "img_0.ppm" in str(info.value) and "img_1.ppm" in str(info.value)
+        assert not (tmp_path / "mixrun").exists()
         # per-sample batches handle the same data fine
         result = train_model(model, tiny_train(epochs=1, lr_drop_epoch=0), manifest)
         assert len(result.steps) == 2
