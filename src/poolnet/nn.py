@@ -51,16 +51,6 @@ class Module:
         for key, module in self._modules.items():
             yield from module.named_parameters(f"{prefix}{key}.")
 
-    def parameters(self) -> list[Parameter]:
-        return [p for _, p in self.named_parameters()]
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
 
 class ModuleList(Module):
     """An indexable list of modules registered under their positions."""

@@ -30,7 +30,8 @@ class Adam:
     false, in which case it is skipped untouched -- alternating training
     leaves each step type's unused branch without gradients by design.  Bias
     correction therefore counts updates per parameter.  ``state_dict``
-    exports the moments flat (``opt/m/<name>``) to ride inside a checkpoint.
+    exports the moments flat (``opt/m/<name>``) to ride inside a checkpoint;
+    they are the live arrays, which the next ``step`` updates in place.
     """
 
     def __init__(self, named_params, lr: float, weight_decay: float = 0.0,
@@ -65,11 +66,23 @@ class Adam:
                 g = g + p.dtype.type(self.weight_decay) * p.data
             self.updates[i] += 1
             t = int(self.updates[i])
-            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
-            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * np.square(g)
-            m_hat = self.m[i] / p.dtype.type(1.0 - BETA1 ** t)
-            v_hat = self.v[i] / p.dtype.type(1.0 - BETA2 ** t)
-            p.data -= p.dtype.type(self.lr) * m_hat / (np.sqrt(v_hat) + p.dtype.type(EPS))
+            # in place, each product and sum as the textbook expression
+            # rounds it: a Python-float factor is cast to the moment's dtype
+            m, v = self.m[i], self.v[i]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            g_sq = np.square(g)
+            g_sq *= 1.0 - BETA2
+            v += g_sq
+            # lr * m_hat / (sqrt(v_hat) + eps): the denominator reuses g_sq
+            denom = np.divide(v, p.dtype.type(1.0 - BETA2 ** t), out=g_sq)
+            np.sqrt(denom, out=denom)
+            denom += p.dtype.type(EPS)
+            step = m / p.dtype.type(1.0 - BETA1 ** t)
+            step *= p.dtype.type(self.lr)
+            step /= denom
+            p.data -= step
 
     def state_dict(self) -> dict[str, np.ndarray]:
         out = {"opt/step": np.asarray([self.step_count], dtype=np.float32),

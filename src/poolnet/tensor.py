@@ -17,11 +17,22 @@ over c*kh*kw, so a band gives the bits of the whole GEMM as long as BLAS
 runs the same kernel on both.  Below about 1e6 multiply-adds OpenBLAS's
 sgemm switches to a small-matrix kernel that rounds differently, so no
 band's GEMM may fall under a 2e6 floor; a layer whose whole GEMM is under it
-is one band, and so still one GEMM.  The VJP still builds the whole patch
-matrix once: d_weight sums over every output column, and summing it band by
-band would add partial sums in another order and change its bits.  It
-re-pads that matrix's input from the input's data with the forward's zero
-border (``_pad``) rather than keep a padded copy.
+is one band, and so still one GEMM.
+
+The VJP bands a layer the same way once its patch matrix reaches 16 MB; a
+smaller layer is one band and one K-block, so one GEMM each for d_weight
+and d_cols.  d_x runs the d_cols GEMM on one band of the output gradient's
+rows at a time and adds its taps into the padded input gradient with a
+(kh - 1)-row halo, walking the bands from the bottom, so each element takes
+its taps in the (i, j) order of one pass.  d_weight sums over every output
+column, and a sum cut anywhere else would regroup its additions and change
+its bits; so it is cut where OpenBLAS's sgemm cuts its K dimension
+(``_k_blocks``), one GEMM per block summed in block order, over a patch
+matrix built image by image and band by band, a block that spans two bands
+joined from its pieces.  The VJP re-pads the input from its data with the
+forward's zero border (``_pad``) rather than keep a padded copy, and drops
+it before d_x's buffer exists.  The 16->16 conv's VJP at 304x400 peaks at
+9 MB instead of 74.
 
 ``max_pool2d`` walks the rate x rate strided taps in row-major order under
 ``np.argmax``'s first-maximum, first-NaN rule and copies values as bit
@@ -197,6 +208,16 @@ def _check_rank4(t: Tensor, role: str) -> None:
 _BAND_BYTES = 1 << 19
 _BAND_MIN_COLS = 512
 _BAND_MIN_MACS = 2_000_000
+# conv2d's VJP bands a layer whose patch matrix holds at least this many
+# bytes; a smaller layer is one band and one K-block, so one GEMM each for
+# d_weight and d_cols
+_VJP_BAND_BYTES = 16 << 20
+# OpenBLAS's sgemm reduces K in blocks of kc = 448 (GEMM_Q), and its
+# single-threaded path rounds the last two blocks' halves up to the 16-row
+# unroll (GEMM_UNROLL_M); Goto & van de Geijn, "Anatomy of High-Performance
+# Matrix Multiplication", ACM TOMS 2008
+_SGEMM_KC = 448
+_SGEMM_UNROLL = 16
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -245,15 +266,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         # rather than kept from the forward: every layer's copies held until
         # backward would dominate peak memory
         g2 = g.transpose(1, 0, 2, 3).reshape(out_c, -1)
-        d_weight = np.dot(g2, _im2col(_pad(x_data, padding), kh, kw, oh, ow, stride).T)
-        d_weight = d_weight.reshape(w_shape)
+        k, cols = w2.shape[1], g2.shape[1]
+        banded = k * cols * x_data.itemsize >= _VJP_BAND_BYTES
+        edges = _band_edges(out_c, k, oh, ow, x_data.itemsize) if banded else [0, oh]
+        bands = list(zip(edges[:-1], edges[1:]))
+        blocks = _k_blocks(out_c, k, cols, x_data.dtype) if banded else [0, cols]
+        # a blocked d_weight builds its patch matrix image by image, band by
+        # band, as its blocks run over the (n, oh, ow) columns; one block
+        # builds it whole.  The padded input is dropped before d_xp exists.
+        xp = _pad(x_data, padding)
+        parts = [(b, b + 1, r0, r1) for b in range(n) for r0, r1 in bands] \
+            if len(blocks) > 2 else [(0, n, 0, oh)]
+        d_weight = _blocked_dot(g2, (
+            _im2col(xp[b0:b1, :, r0 * stride:(r1 - 1) * stride + kh], kh, kw, r1 - r0, ow, stride)
+            for b0, b1, r0, r1 in parts), blocks).reshape(w_shape)
+        del xp
         d_x = None
         if need_dx:
-            d_cols = np.dot(w2.T, g2).reshape(c, kh, kw, n, oh, ow)
+            g4 = g2.reshape(out_c, n, oh, ow)
             d_xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x_data.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    d_xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d_cols[:, i, j]
+            # bottom band first: a d_xp row takes its taps from the band below
+            # before the band above, so in (i, j) order, as one pass would
+            for r0, r1 in reversed(bands):
+                rows = r1 - r0
+                d_cols = np.dot(w2.T, g4[:, :, r0:r1].reshape(out_c, -1))
+                d_cols = d_cols.reshape(c, kh, kw, n, rows, ow)
+                d_band = d_xp[:, :, r0 * stride:(r1 - 1) * stride + kh]
+                for i in range(kh):
+                    for j in range(kw):
+                        d_band[:, :, i:i + stride * rows:stride,
+                               j:j + stride * ow:stride] += d_cols[:, i, j]
             d_x = d_xp.transpose(1, 0, 2, 3)
             if padding:
                 d_x = d_x[:, :, padding:padding + h, padding:padding + w]
@@ -288,6 +330,60 @@ def _band_edges(out_c: int, k: int, oh: int, ow: int, itemsize: int) -> list[int
     return [oh * i // bands for i in range(bands + 1)]
 
 
+def _k_blocks(out_c: int, k: int, cols: int, dtype) -> list[int]:
+    """Edges of the K-blocks sgemm sums d_weight's ``cols`` columns in.
+
+    A GEMM per block, summed in block order, rounds as the one GEMM does
+    only where each block runs the one GEMM's kernel and the last two
+    blocks are cut alike by OpenBLAS's single- and multi-threaded paths
+    (the threaded one halves without rounding).  Elsewhere this is
+    ``[0, cols]``, one block: float64, whose dgemm split is not pinned; one
+    output channel, which NumPy runs as a GEMV; ``k`` off the unroll, or a
+    full block under the 1e6 multiply-adds below which sgemm may take its
+    small-matrix kernel -- probes found both rounding otherwise.
+    """
+    if (dtype != np.float32 or out_c == 1 or k % _SGEMM_UNROLL
+            or out_c * k * _SGEMM_KC < _BAND_MIN_MACS // 2):
+        return [0, cols]
+    edges = [0]
+    while cols - edges[-1] >= 2 * _SGEMM_KC:
+        edges.append(edges[-1] + _SGEMM_KC)
+    rest = cols - edges[-1]
+    if rest > _SGEMM_KC:
+        half = -(-(rest // 2) // _SGEMM_UNROLL) * _SGEMM_UNROLL
+        if half != (rest + 1) // 2:
+            return [0, cols]
+        edges.append(edges[-1] + half)
+    return edges + [cols]
+
+
+def _blocked_dot(a: np.ndarray, chunks: Iterator[np.ndarray], blocks: list[int]) -> np.ndarray:
+    """``a · Bᵀ`` as one GEMM per K-block ``blocks`` cuts, summed in order.
+
+    ``chunks`` yields B's columns left to right; a block that spans two
+    chunks is joined from its pieces.
+    """
+    out, held, start, pos = None, [], 0, 0
+    cuts = iter(blocks[1:])
+    cut = next(cuts)
+    for chunk in chunks:
+        end, lo = pos + chunk.shape[1], 0
+        while cut <= end:
+            held.append(chunk[:, lo:cut - pos])
+            piece = held[0] if len(held) == 1 else np.concatenate(held, axis=1)
+            part = np.dot(a[:, start:cut], piece.T)
+            if out is None:
+                out = part
+            else:
+                out += part
+            held, start, lo = [], cut, cut - pos
+            cut = next(cuts, end + 1)
+        if lo < chunk.shape[1]:
+            held.append(chunk[:, lo:])
+        pos = end
+    return out
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int) -> np.ndarray:
     """Patch matrix of padded ``xp``: C-contiguous (c*kh*kw, n*oh*ow).
 
@@ -317,13 +413,16 @@ def _separable(x: Tensor, a_h: np.ndarray, a_w: np.ndarray) -> Tensor:
     return _op_output(out, (x,), vjp)
 
 
+@lru_cache(maxsize=256)
 def _pool_matrix(in_size: int, out_size: int, dtype) -> np.ndarray:
     """(out, in) averaging matrix; bin i covers [floor(i*in/out), ceil((i+1)*in/out))."""
     i = np.arange(out_size)[:, None]
     lo = (i * in_size) // out_size
     hi = ((i + 1) * in_size + out_size - 1) // out_size
     k = np.arange(in_size)
-    return (((lo <= k) & (k < hi)) / (hi - lo)).astype(dtype)
+    a = (((lo <= k) & (k < hi)) / (hi - lo)).astype(dtype)
+    a.flags.writeable = False  # cached: shared by every call
+    return a
 
 
 def avg_pool2d(x: Tensor, rate: int) -> Tensor:
@@ -405,6 +504,7 @@ def max_pool2d(x: Tensor, rate: int = 2) -> Tensor:
 # bilinear resampling
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
 def _resample_axis(in_size: int, out_size: int, dtype):
     """Source indices and fractions for one axis, half-pixel-centre convention.
 
@@ -417,6 +517,8 @@ def _resample_axis(in_size: int, out_size: int, dtype):
     lo = np.minimum(src.astype(np.intp), in_size - 1)
     frac = (src - lo).astype(dtype)
     hi = np.minimum(lo + 1, in_size - 1)
+    for a in (lo, hi, frac):
+        a.flags.writeable = False  # cached: shared by every call
     return lo, hi, frac
 
 

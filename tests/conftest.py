@@ -149,6 +149,25 @@ def conv_forward_reference():
     return reference_conv2d_forward
 
 
+def reference_conv2d_vjp(x, w, stride, padding, g):
+    """conv2d's (d_x, d_weight) for output gradient ``g`` as one GEMM each
+    over the whole patch matrix, as the VJP computed them before it was
+    banded; the banded, K-blocked VJP must give the same bytes."""
+    n, c, h, width = x.shape
+    out_c, _, kh, kw = w.shape
+    oh, ow = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    g2 = g.transpose(1, 0, 2, 3).reshape(out_c, -1)
+    d_w = np.dot(g2, _im2col(xp, kh, kw, oh, ow, stride).T).reshape(w.shape)
+    d_cols = np.dot(w.reshape(out_c, -1).T, g2).reshape(c, kh, kw, n, oh, ow)
+    d_xp = np.zeros((c, n) + xp.shape[2:], dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            d_xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d_cols[:, i, j]
+    d_x = d_xp.transpose(1, 0, 2, 3)[:, :, padding:padding + h, padding:padding + width]
+    return d_x, d_w
+
+
 # ---------------------------------------------------------------------------
 # reference max pool
 # ---------------------------------------------------------------------------

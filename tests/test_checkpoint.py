@@ -138,10 +138,10 @@ class TestModelRoundTrip:
         # the loader builds with seed 0, so equal weights can only come from the file
         fresh = build_model(self.small_config(), seed=0)
         assert any(not np.array_equal(p.data, q.data)
-                   for p, q in zip(model.parameters(), fresh.parameters()))
+                   for (_, p), (_, q) in zip(model.named_parameters(), fresh.named_parameters()))
         reloaded, state = model_from_checkpoint(path)
         assert state == {}
-        for p, q in zip(model.parameters(), reloaded.parameters()):
+        for (_, p), (_, q) in zip(model.named_parameters(), reloaded.named_parameters()):
             assert np.array_equal(p.data, q.data)
 
     def test_forward_is_bitwise_identical_after_round_trip(self, tmp_path):
@@ -195,7 +195,7 @@ class TestSelfDescribingCheckpoints:
         rebuilt, state = model_from_checkpoint(path)
         assert rebuilt.config == config
         assert state == {}
-        for p, q in zip(model.parameters(), rebuilt.parameters()):
+        for (_, p), (_, q) in zip(model.named_parameters(), rebuilt.named_parameters()):
             assert np.array_equal(p.data, q.data)
 
     def test_extra_state_survives(self, tmp_path):

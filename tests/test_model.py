@@ -230,14 +230,14 @@ class TestConstruction:
     def test_same_seed_builds_identical_weights(self):
         a = build_model(desk_config(), seed=6)
         b = build_model(desk_config(), seed=6)
-        for p, q in zip(a.parameters(), b.parameters()):
+        for (_, p), (_, q) in zip(a.named_parameters(), b.named_parameters()):
             assert np.array_equal(p.data, q.data)
 
     def test_different_seeds_differ(self):
         a = build_model(desk_config(), seed=6)
         b = build_model(desk_config(), seed=7)
         assert any(not np.array_equal(p.data, q.data)
-                   for p, q in zip(a.parameters(), b.parameters()))
+                   for (_, p), (_, q) in zip(a.named_parameters(), b.named_parameters()))
 
     def test_parameter_names_are_unique_and_dotted(self):
         model = build_model(desk_config(enable_edge=True), seed=0)
@@ -247,10 +247,13 @@ class TestConstruction:
         assert any(name.startswith("edge.side_heads") for name in names)
 
     def test_switches_change_parameter_budget(self):
-        base = build_model(desk_config(), seed=0).num_parameters()
-        no_fam = build_model(desk_config(enable_fam=False), seed=0).num_parameters()
-        no_ggf = build_model(desk_config(enable_ggf=False), seed=0).num_parameters()
-        edged = build_model(desk_config(enable_edge=True), seed=0).num_parameters()
+        def budget(config):
+            return sum(p.data.size for _, p in build_model(config, seed=0).named_parameters())
+
+        base = budget(desk_config())
+        no_fam = budget(desk_config(enable_fam=False))
+        no_ggf = budget(desk_config(enable_ggf=False))
+        edged = budget(desk_config(enable_edge=True))
         assert no_fam < base  # aggregation carries extra convs
         assert no_ggf < base  # guidance projections disappear
         assert edged > base

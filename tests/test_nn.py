@@ -39,10 +39,10 @@ class TestModuleRegistration:
         assert names == ["blocks.0.weight", "blocks.0.bias",
                          "blocks.1.weight", "blocks.1.bias"]
 
-    def test_num_parameters_counts_elements(self):
+    def test_named_parameters_count_every_element(self):
         model = TwoConv(np.random.default_rng(0))
         # 3*2*3*3 + 3 + 1*3*1*1 + 1
-        assert model.num_parameters() == 54 + 3 + 3 + 1
+        assert sum(p.data.size for _, p in model.named_parameters()) == 54 + 3 + 3 + 1
 
     def test_adam_state_is_keyed_by_module_paths(self):
         model = build_model(ModelConfig(backbone_widths=(4, 6, 6, 8, 8), ppm_sizes=(2,),
@@ -56,14 +56,14 @@ class TestModuleRegistration:
         model = TwoConv(np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(1, 2, 4, 4)))
         backward(reduce_sum(model(x)))
-        assert any(p.grad is not None for p in model.parameters())
-        model.zero_grad()
-        assert all(p.grad is None for p in model.parameters())
+        assert any(p.grad is not None for _, p in model.named_parameters())
+        Adam(model.named_parameters(), lr=0.1).zero_grad()
+        assert all(p.grad is None for _, p in model.named_parameters())
 
     def test_parameters_require_grad(self):
         model = TwoConv(np.random.default_rng(0))
-        assert all(p.requires_grad for p in model.parameters())
-        assert all(isinstance(p, Parameter) for p in model.parameters())
+        assert all(p.requires_grad for _, p in model.named_parameters())
+        assert all(isinstance(p, Parameter) for _, p in model.named_parameters())
 
 
 class TestGlorotInit:
