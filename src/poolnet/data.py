@@ -143,11 +143,6 @@ def _image_floats(raw: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(raw.transpose(2, 0, 1)).astype(np.float64) / 255.0
 
 
-def load_image(path) -> np.ndarray:
-    """Read an image as (3, H, W) floats in [0, 1]; grayscale is replicated."""
-    return _image_floats(_parse_pnm(path))
-
-
 def load_map(path) -> np.ndarray:
     """Read a single-channel map as (H, W) floats in [0, 1]."""
     return _parse_map(path).astype(np.float64) / 255.0

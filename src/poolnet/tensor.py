@@ -19,20 +19,20 @@ sgemm switches to a small-matrix kernel that rounds differently, so no
 band's GEMM may fall under a 2e6 floor; a layer whose whole GEMM is under it
 is one band, and so still one GEMM.
 
-The VJP bands a layer the same way once its patch matrix reaches 16 MB; a
-smaller layer is one band and one K-block, so one GEMM each for d_weight
-and d_cols.  d_x runs the d_cols GEMM on one band of the output gradient's
-rows at a time and adds its taps into the padded input gradient with a
-(kh - 1)-row halo, walking the bands from the bottom, so each element takes
-its taps in the (i, j) order of one pass.  d_weight sums over every output
-column, and a sum cut anywhere else would regroup its additions and change
-its bits; so it is cut where OpenBLAS's sgemm cuts its K dimension
-(``_k_blocks``), one GEMM per block summed in block order, over a patch
-matrix built image by image and band by band, a block that spans two bands
-joined from its pieces.  The VJP re-pads the input from its data with the
-forward's zero border (``_pad``) rather than keep a padded copy, and drops
-it before d_x's buffer exists.  The 16->16 conv's VJP at 304x400 peaks at
-9 MB instead of 74.
+The VJP bands a layer with the forward's row bands once its patch matrix
+reaches 16 MB; a smaller layer runs one GEMM each for d_weight and d_cols.
+d_x runs the d_cols GEMM on one band of the output gradient's rows at a
+time and adds its taps into the padded input gradient with a (kh - 1)-row
+halo, walking the bands from the bottom, so each element takes its taps in
+the (i, j) order of one pass.  d_weight sums over every output column, so
+bands would regroup its additions and change its bits; instead it runs one
+GEMM per kernel tap (i, j), the output gradient times the input shifted by
+that tap, as kn2row does (Vasudevan, Anderson & Gregg, ASAP 2017).  That
+splits the one GEMM's output columns, never its reduction, so each element
+keeps its dot product, as each forward band does.  The VJP re-pads the
+input from its data with the forward's zero border (``_pad``) rather than
+keep a padded copy, and drops it before d_x's buffer exists.  The 16->16
+conv's VJP at 304x400 peaks at 16 MB instead of 74.
 
 ``max_pool2d`` walks the rate x rate strided taps in row-major order under
 ``np.argmax``'s first-maximum, first-NaN rule and copies values as bit
@@ -209,15 +209,9 @@ _BAND_BYTES = 1 << 19
 _BAND_MIN_COLS = 512
 _BAND_MIN_MACS = 2_000_000
 # conv2d's VJP bands a layer whose patch matrix holds at least this many
-# bytes; a smaller layer is one band and one K-block, so one GEMM each for
-# d_weight and d_cols
+# bytes; a smaller layer's tap GEMMs could fall under sgemm's small-matrix
+# kernel, so it runs one GEMM each for d_weight and d_cols
 _VJP_BAND_BYTES = 16 << 20
-# OpenBLAS's sgemm reduces K in blocks of kc = 448 (GEMM_Q), and its
-# single-threaded path rounds the last two blocks' halves up to the 16-row
-# unroll (GEMM_UNROLL_M); Goto & van de Geijn, "Anatomy of High-Performance
-# Matrix Multiplication", ACM TOMS 2008
-_SGEMM_KC = 448
-_SGEMM_UNROLL = 16
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -266,27 +260,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         # rather than kept from the forward: every layer's copies held until
         # backward would dominate peak memory
         g2 = g.transpose(1, 0, 2, 3).reshape(out_c, -1)
-        k, cols = w2.shape[1], g2.shape[1]
-        banded = k * cols * x_data.itemsize >= _VJP_BAND_BYTES
-        edges = _band_edges(out_c, k, oh, ow, x_data.itemsize) if banded else [0, oh]
-        bands = list(zip(edges[:-1], edges[1:]))
-        blocks = _k_blocks(out_c, k, cols, x_data.dtype) if banded else [0, cols]
-        # a blocked d_weight builds its patch matrix image by image, band by
-        # band, as its blocks run over the (n, oh, ow) columns; one block
-        # builds it whole.  The padded input is dropped before d_xp exists.
+        banded = w2.shape[1] * g2.shape[1] * x_data.itemsize >= _VJP_BAND_BYTES
         xp = _pad(x_data, padding)
-        parts = [(b, b + 1, r0, r1) for b in range(n) for r0, r1 in bands] \
-            if len(blocks) > 2 else [(0, n, 0, oh)]
-        d_weight = _blocked_dot(g2, (
-            _im2col(xp[b0:b1, :, r0 * stride:(r1 - 1) * stride + kh], kh, kw, r1 - r0, ow, stride)
-            for b0, b1, r0, r1 in parts), blocks).reshape(w_shape)
-        del xp
+        if banded:
+            # one GEMM per kernel tap: each d_weight element keeps the one
+            # GEMM's dot product over every output column
+            d_weight = np.empty(w_shape, dtype=np.result_type(g2, xp))
+            for i in range(kh):
+                for j in range(kw):
+                    d_weight[:, :, i, j] = np.dot(
+                        g2, _im2col(xp[:, :, i:, j:], 1, 1, oh, ow, stride).T)
+        else:
+            d_weight = np.dot(g2, _im2col(xp, kh, kw, oh, ow, stride).T).reshape(w_shape)
+        del xp  # before d_xp exists
         d_x = None
         if need_dx:
             g4 = g2.reshape(out_c, n, oh, ow)
             d_xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x_data.dtype)
             # bottom band first: a d_xp row takes its taps from the band below
             # before the band above, so in (i, j) order, as one pass would
+            bands = list(zip(edges[:-1], edges[1:])) if banded else [(0, oh)]
             for r0, r1 in reversed(bands):
                 rows = r1 - r0
                 d_cols = np.dot(w2.T, g4[:, :, r0:r1].reshape(out_c, -1))
@@ -328,60 +321,6 @@ def _band_edges(out_c: int, k: int, oh: int, ow: int, itemsize: int) -> list[int
                -(-_BAND_MIN_MACS // (out_c * k * ow)), 1)
     bands = max(oh // rows, 1)
     return [oh * i // bands for i in range(bands + 1)]
-
-
-def _k_blocks(out_c: int, k: int, cols: int, dtype) -> list[int]:
-    """Edges of the K-blocks sgemm sums d_weight's ``cols`` columns in.
-
-    A GEMM per block, summed in block order, rounds as the one GEMM does
-    only where each block runs the one GEMM's kernel and the last two
-    blocks are cut alike by OpenBLAS's single- and multi-threaded paths
-    (the threaded one halves without rounding).  Elsewhere this is
-    ``[0, cols]``, one block: float64, whose dgemm split is not pinned; one
-    output channel, which NumPy runs as a GEMV; ``k`` off the unroll, or a
-    full block under the 1e6 multiply-adds below which sgemm may take its
-    small-matrix kernel -- probes found both rounding otherwise.
-    """
-    if (dtype != np.float32 or out_c == 1 or k % _SGEMM_UNROLL
-            or out_c * k * _SGEMM_KC < _BAND_MIN_MACS // 2):
-        return [0, cols]
-    edges = [0]
-    while cols - edges[-1] >= 2 * _SGEMM_KC:
-        edges.append(edges[-1] + _SGEMM_KC)
-    rest = cols - edges[-1]
-    if rest > _SGEMM_KC:
-        half = -(-(rest // 2) // _SGEMM_UNROLL) * _SGEMM_UNROLL
-        if half != (rest + 1) // 2:
-            return [0, cols]
-        edges.append(edges[-1] + half)
-    return edges + [cols]
-
-
-def _blocked_dot(a: np.ndarray, chunks: Iterator[np.ndarray], blocks: list[int]) -> np.ndarray:
-    """``a · Bᵀ`` as one GEMM per K-block ``blocks`` cuts, summed in order.
-
-    ``chunks`` yields B's columns left to right; a block that spans two
-    chunks is joined from its pieces.
-    """
-    out, held, start, pos = None, [], 0, 0
-    cuts = iter(blocks[1:])
-    cut = next(cuts)
-    for chunk in chunks:
-        end, lo = pos + chunk.shape[1], 0
-        while cut <= end:
-            held.append(chunk[:, lo:cut - pos])
-            piece = held[0] if len(held) == 1 else np.concatenate(held, axis=1)
-            part = np.dot(a[:, start:cut], piece.T)
-            if out is None:
-                out = part
-            else:
-                out += part
-            held, start, lo = [], cut, cut - pos
-            cut = next(cuts, end + 1)
-        if lo < chunk.shape[1]:
-            held.append(chunk[:, lo:])
-        pos = end
-    return out
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int) -> np.ndarray:

@@ -204,7 +204,6 @@ def _train_step(model: SaliencyNet, optimizer: Adam, kind: str, x: np.ndarray,
 def _save(path: Path, model: SaliencyNet, optimizer: Adam, epoch: int) -> None:
     state = optimizer.state_dict()
     state["progress/epoch"] = np.asarray([epoch], dtype=np.float32)
-    state["progress/step"] = np.asarray([optimizer.step_count], dtype=np.float32)
     save_model_with_config(path, model, state)
 
 

@@ -152,7 +152,8 @@ def conv_forward_reference():
 def reference_conv2d_vjp(x, w, stride, padding, g):
     """conv2d's (d_x, d_weight) for output gradient ``g`` as one GEMM each
     over the whole patch matrix, as the VJP computed them before it was
-    banded; the banded, K-blocked VJP must give the same bytes."""
+    banded; the banded VJP, d_weight one GEMM per kernel tap, must give the
+    same bytes."""
     n, c, h, width = x.shape
     out_c, _, kh, kw = w.shape
     oh, ow = g.shape[2:]

@@ -10,10 +10,11 @@ import poolnet.data as data_mod
 from poolnet.data import (
     Manifest,
     Sample,
+    _image_floats,
+    _parse_pnm,
     crop_to_original,
     entry_size,
     load_entry,
-    load_image,
     load_manifest,
     load_map,
     pad_to_multiple,
@@ -33,6 +34,11 @@ PGM_FIXTURE = b"P5\n3 2\n255\n" + bytes([0, 128, 255, 10, 20, 30])
 PPM_FIXTURE = b"P6\n3 2\n255\n" + bytes(18)
 
 
+def read_image(path) -> np.ndarray:
+    """An image file as (3, H, W) floats in [0, 1], as ``load_entry`` reads it."""
+    return _image_floats(_parse_pnm(path))
+
+
 class TestPnmRead:
     def test_hand_written_pgm_bytes(self, tmp_path):
         path = tmp_path / "m.pgm"
@@ -45,7 +51,7 @@ class TestPnmRead:
     def test_grayscale_image_is_replicated_to_rgb(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(PGM_FIXTURE)
-        image = load_image(path)
+        image = read_image(path)
         assert image.shape == (3, 2, 3)
         assert np.array_equal(image[0], image[1])
         assert np.array_equal(image[0], image[2])
@@ -54,7 +60,7 @@ class TestPnmRead:
         path = tmp_path / "c.ppm"
         # one pixel: r=255, g=0, b=128
         path.write_bytes(b"P6\n1 1\n255\n" + bytes([255, 0, 128]))
-        image = load_image(path)
+        image = read_image(path)
         assert image.shape == (3, 1, 1)
         assert np.allclose(image[:, 0, 0], [1.0, 0.0, 128 / 255.0], atol=1e-15)
 
@@ -146,7 +152,7 @@ class TestPnmWrite:
         image = rng.random((3, 4, 6))
         path = tmp_path / "i.ppm"
         save_image(image, path)
-        assert np.max(np.abs(load_image(path) - image)) <= 0.5 / 255.0 + 1e-12
+        assert np.max(np.abs(read_image(path) - image)) <= 0.5 / 255.0 + 1e-12
 
     def test_out_of_range_values_rejected(self, tmp_path):
         with pytest.raises(DataError):

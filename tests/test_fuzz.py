@@ -14,8 +14,9 @@ import pytest
 from poolnet.checkpoint import MAGIC
 from poolnet.config import ModelConfig, build_run_config, read_config_file
 from poolnet.data import (
+    _image_floats,
+    _parse_pnm,
     load_entry,
-    load_image,
     load_manifest,
     load_map,
     synth_saliency_dataset,
@@ -37,7 +38,7 @@ def read_manifest(path):
 
 
 READERS = {
-    "ppm": load_image,
+    "ppm": lambda path: _image_floats(_parse_pnm(path)),  # as load_entry reads an image
     "pgm": load_map,
     "manifest": read_manifest,
     "config": lambda path: build_run_config(read_config_file(path)),

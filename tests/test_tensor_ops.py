@@ -21,8 +21,6 @@ from poolnet.tensor import (
     Tensor,
     _VJP_BAND_BYTES,
     _band_edges,
-    _blocked_dot,
-    _k_blocks,
     add,
     adaptive_avg_pool2d,
     avg_pool2d,
@@ -240,35 +238,11 @@ class TestConv2d:
         assert out._vjp is not None
         assert held <= out.data.nbytes + 2**20
 
-    def test_k_blocks_cut_where_sgemm_does(self):
-        f32 = np.dtype(np.float32)
-        # 304x400 columns: 270 full blocks, then 640 halved on the unroll
-        assert np.diff(_k_blocks(16, 144, 121600, f32)).tolist() == [448] * 270 + [320, 320]
-        # 76x100: one thread halves the last 880 as 448 + 432, two as 440 + 440
-        assert _k_blocks(64, 576, 7600, f32) == [0, 7600]
-        assert _k_blocks(16, 144, 121600, np.dtype(np.float64)) == [0, 121600]
-        assert _k_blocks(1, 4096, 121600, f32) == [0, 121600]  # NumPy's GEMV
-        assert _k_blocks(16, 27, 121600, f32) == [0, 121600]  # off the unroll
-        assert _k_blocks(4, 16, 121600, f32) == [0, 121600]  # small-matrix kernel
-
-    def test_blocked_dot_joins_blocks_across_chunks(self):
-        rng = np.random.default_rng(5)
-        a, b = rng.standard_normal((3, 50)), rng.standard_normal((4, 50))
-        blocks = [0, 7, 20, 21, 50]
-        want = np.dot(a[:, :7], b[:, :7].T)
-        for lo, hi in zip(blocks[1:-1], blocks[2:]):
-            want += np.dot(a[:, lo:hi], b[:, lo:hi].T)
-        # chunks of 3 columns: blocks open and close mid-chunk and span up to
-        # 10 of them.  A joined block is contiguous where the reference's is
-        # a strided view, which BLAS may round differently at this tiny size;
-        # the model-shape check below pins the bits.
-        chunks = (b[:, i:i + 3] for i in range(0, 50, 3))
-        np.testing.assert_allclose(_blocked_dot(a, chunks, blocks), want, rtol=0, atol=1e-12)
-
     @pytest.fixture(scope="class")
     def banded_vjp_shapes(self):
-        """Every (x shape, weight shape, padding) of the default and edge
-        models at 304x400, at batch 1 and 2, whose patch matrix is banded."""
+        """Every (x shape, weight shape, padding, dtype) of the default and
+        edge models at 304x400 in float32, at batch 1 and 2, whose patch
+        matrix is banded."""
         seen = []
 
         def recording_conv2d(x, weight, bias=None, stride=1, padding=0):
@@ -286,44 +260,45 @@ class TestConv2d:
                     build_model(config, seed=0)(image)
         finally:
             poolnet.nn.conv2d = saved
-        return [((n,) + x_shape, w_shape, padding)
+        return [((n,) + x_shape, w_shape, padding, "float32")
                 for n in (1, 2) for x_shape, w_shape, padding in seen
                 if np.prod(w_shape[1:]) * n * x_shape[1] * x_shape[2] * 4 >= _VJP_BAND_BYTES]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_banded_vjp_matches_one_gemm_on_model_shapes(self, banded_vjp_shapes, threads):
         # a child interpreter, as OpenBLAS reads its thread count once at load;
-        # a BLAS that cuts K elsewhere fails here instead of drifting
+        # a BLAS whose per-tap GEMMs round otherwise fails here instead of drifting
         package_root = os.path.dirname(os.path.dirname(poolnet.__file__))
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        done = subprocess.run([sys.executable, __file__], input=json.dumps(banded_vjp_shapes),
+        # one shape in float64 too, the gradient checks' mode
+        shapes = banded_vjp_shapes + [((1, 32, 152, 200), (32, 32, 3, 3), 1, "float64")]
+        done = subprocess.run([sys.executable, __file__], input=json.dumps(shapes),
                               env=env, capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr
-        result = json.loads(done.stdout)
         assert len(banded_vjp_shapes) >= 15
-        assert result["differ"] == []
-        # the 16->16 conv at 304x400 runs K-blocked at both batch sizes
-        for n in (1, 2):
-            assert [[n, 16, 304, 400], [16, 16, 3, 3], 1] in result["blocked"]
+        assert ((1, 64, 76, 100), (64, 64, 3, 3), 1, "float32") in banded_vjp_shapes
+        assert json.loads(done.stdout) == []
 
     def test_banded_vjp_holds_no_whole_patch_matrix(self):
         rng = np.random.default_rng(9)
-        x = Tensor(rng.standard_normal((1, 16, 304, 400)), requires_grad=True, dtype=np.float32)
-        weight = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True,
-                        dtype=np.float32)
-        out = conv2d(x, weight, padding=1)
-        g = rng.standard_normal(out.shape).astype(np.float32)
-        tracemalloc.start()
-        try:
-            out._vjp(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the one-GEMM VJP built the 70 MB patch matrix for d_weight, then a
-        # d_cols as large, and peaked at 74 MB; the padded input and d_x are
-        # 7.9 MB each
-        assert peak < 20 * 2**20
+        # the one-GEMM VJP built the patch matrix for d_weight, then a d_cols
+        # as large: 70 MB each for 16->16 at 304x400, whose padded input and
+        # d_x are 7.9 MB each, and 17 MB each for 64->64 at 76x100 (2 MB)
+        for x_shape, bound_mib in (((1, 16, 304, 400), 20), ((1, 64, 76, 100), 10)):
+            c = x_shape[1]
+            x = Tensor(rng.standard_normal(x_shape), requires_grad=True, dtype=np.float32)
+            weight = Tensor(rng.standard_normal((c, c, 3, 3)), requires_grad=True,
+                            dtype=np.float32)
+            out = conv2d(x, weight, padding=1)
+            g = rng.standard_normal(out.shape).astype(np.float32)
+            tracemalloc.start()
+            try:
+                out._vjp(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mib * 2**20, x_shape
 
     def test_input_without_lineage_gets_no_gradient(self):
         rng = np.random.default_rng(4)
@@ -733,30 +708,24 @@ class TestBackwardContract:
         assert b.grad is None
 
 
-def check_banded_vjp(shapes) -> dict:
-    """conv2d's VJP against the one-GEMM reference on float32 data of each
-    (x shape, weight shape, padding); the shapes whose bytes differ, and
-    those whose d_weight ran K-blocked."""
+def check_banded_vjp(shapes) -> list:
+    """conv2d's VJP against the one-GEMM reference on data of each
+    (x shape, weight shape, padding, dtype); the shapes whose bytes differ."""
     from conftest import reference_conv2d_vjp
 
     rng = np.random.default_rng(17)
-    differ, blocked = [], []
-    for x_shape, w_shape, padding in shapes:
-        x = Tensor(rng.random(x_shape, dtype=np.float32) - 0.5, requires_grad=True,
-                   dtype=np.float32)
-        weight = Tensor(rng.random(w_shape, dtype=np.float32) - 0.5, requires_grad=True,
-                        dtype=np.float32)
+    differ = []
+    for x_shape, w_shape, padding, dtype in shapes:
+        x = Tensor(rng.random(x_shape, dtype=dtype) - 0.5, requires_grad=True, dtype=dtype)
+        weight = Tensor(rng.random(w_shape, dtype=dtype) - 0.5, requires_grad=True, dtype=dtype)
         out = conv2d(x, weight, padding=padding)
-        g = rng.random(out.shape, dtype=np.float32) - 0.5
+        g = rng.random(out.shape, dtype=dtype) - 0.5
         got = out._vjp(g)[:2]
         want = reference_conv2d_vjp(x.data, weight.data, 1, padding, g)
         if any(np.ascontiguousarray(a).tobytes() != np.ascontiguousarray(b).tobytes()
                for a, b in zip(got, want)):
-            differ.append([x_shape, w_shape, padding])
-        n, _, oh, ow = out.shape
-        if len(_k_blocks(w_shape[0], int(np.prod(w_shape[1:])), n * oh * ow, x.dtype)) > 2:
-            blocked.append([x_shape, w_shape, padding])
-    return {"differ": differ, "blocked": blocked}
+            differ.append([x_shape, w_shape, padding, dtype])
+    return differ
 
 
 if __name__ == "__main__":

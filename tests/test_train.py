@@ -10,7 +10,7 @@ from poolnet.config import ModelConfig, TrainConfig
 from poolnet.data import save_image, save_map, synth_saliency_sample, write_manifest
 from poolnet.data import load_manifest, synth_edge_dataset, synth_saliency_dataset
 from poolnet.errors import ConfigError, DataError, NumericError, ShapeError
-from poolnet.model import build_model, model_from_checkpoint
+from poolnet.model import build_model, model_from_checkpoint, save_model_with_config
 from poolnet.optim import lr_at
 from poolnet.train import alternation_schedule, augment_hflip, train_model
 
@@ -140,7 +140,8 @@ class TestTrainingLoop:
         assert len(result.steps) == 6
         assert [p.name for p in result.checkpoints] == ["epoch_001.ckpt", "final.ckpt"]
         _, state = model_from_checkpoint(tmp_path / "final.ckpt")
-        assert state["progress/step"][0] == 6.0
+        assert state["opt/step"][0] == 6.0
+        assert "progress/step" not in state  # opt/step is the one step record
 
     def test_resume_matches_uninterrupted_run(self, sal4, tmp_path):
         config = tiny_train(epochs=4, lr_drop_epoch=3, seed=2)
@@ -149,12 +150,19 @@ class TestTrainingLoop:
 
         parted = build_model(tiny_config(), seed=2)
         train_model(parted, config, sal4, output_dir=tmp_path / "part", max_steps=8)
-        resumed, state = model_from_checkpoint(tmp_path / "part" / "epoch_002.ckpt")
-        result = train_model(resumed, config, sal4, output_dir=tmp_path / "part2",
-                             resume_state=state)
-        assert [r.epoch for r in result.steps] == [2] * 4 + [3] * 4
-        assert (tmp_path / "full" / "final.ckpt").read_bytes() == \
-            (tmp_path / "part2" / "final.ckpt").read_bytes()
+        # a file written before checkpoints dropped their progress/step
+        # record, a copy of opt/step, resumes alike
+        epoch_2 = tmp_path / "part" / "epoch_002.ckpt"
+        model, state = model_from_checkpoint(epoch_2)
+        save_model_with_config(tmp_path / "old.ckpt", model,
+                               dict(state, **{"progress/step": state["opt/step"]}))
+        for start in (epoch_2, tmp_path / "old.ckpt"):
+            resumed, state = model_from_checkpoint(start)
+            result = train_model(resumed, config, sal4, output_dir=tmp_path / "part2",
+                                 resume_state=state)
+            assert [r.epoch for r in result.steps] == [2] * 4 + [3] * 4
+            assert (tmp_path / "full" / "final.ckpt").read_bytes() == \
+                (tmp_path / "part2" / "final.ckpt").read_bytes()
 
     def test_non_finite_loss_raises_numeric_error(self, sal4):
         model = build_model(tiny_config(), seed=0)
