@@ -284,7 +284,11 @@ def main(argv=None) -> int:
     try:
         thread_cap()
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # each non-finite result is checked where it matters (the training
+        # loss, every map before it is saved) and ends as one NumericError
+        # line; NumPy's own warnings would only print a second report first
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,11 +13,15 @@ output rows at a time, across the whole batch, and GEMMs each band into its
 slice of one preallocated output.  So a layer's whole patch matrix (70 MB
 for the 16->16 conv at 304x400) never exists, and each band is still in
 cache when its GEMM reads it.  Every output column is its own dot product
-over c*kh*kw, so a band gives the bits of the whole GEMM as long as BLAS
-runs the same kernel on both.  Below about 1e6 multiply-adds OpenBLAS's
-sgemm switches to a small-matrix kernel that rounds differently, so no
-band's GEMM may fall under a 2e6 floor; a layer whose whole GEMM is under it
-is one band, and so still one GEMM.
+over c*kh*kw, so in float32 a band gives the bits of the whole GEMM as long
+as BLAS runs the same kernel on both.  Below about 1e6 multiply-adds
+OpenBLAS's sgemm switches to a small-matrix kernel that rounds differently,
+so no band's GEMM may fall under a 2e6 floor; a layer whose whole GEMM is
+under it is one band, and so still one GEMM.  In float64, the
+gradient-check mode, bands need not keep the bits: those of the 64->64 conv
+at 76x100 and the 128->128 conv at 38x50 round differently from one GEMM,
+in the forward and in d_x.  Gradient checks compare at a tolerance, so
+nothing rests on those bits.
 
 The VJP bands a layer with the forward's row bands once its patch matrix
 reaches 16 MB; a smaller layer runs one GEMM each for d_weight and d_cols.
@@ -50,7 +54,10 @@ its VJP.  An entry is the input's node, the input itself if it is a
 VJP closes over only the arrays it reads, never a ``Tensor``, so an output
 that no VJP reads is freed once the forward drops it.  ``backward`` walks
 the nodes once, in reverse topological order, into the ``requires_grad``
-leaves; it frees nothing, so it can run twice.
+leaves, and consumes the graph as it goes: each node drops its VJP and its
+inputs' entries once its VJP has returned, so what only that VJP read is
+freed before the next one runs.  A second backward through a consumed node
+raises ``ShapeError`` before any leaf gradient changes.
 
 Two precision modes exist: 64-bit (for gradient checking) and 32-bit (for
 training speed).  The mode is a process-wide default applied when tensors
@@ -129,7 +136,8 @@ class Tensor:
     ``data`` is always a contiguous float32 or float64 ndarray.  ``grad``
     stays ``None`` until ``backward`` reaches this tensor as a leaf; it then
     accumulates across backward calls until cleared.  ``_parents`` and
-    ``_vjp`` are an op output's ``_node``'s; assigning ``_vjp`` replaces it.
+    ``_vjp`` are an op output's ``_node``'s, both None once a backward has
+    consumed it; assigning ``_vjp`` replaces it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
@@ -689,9 +697,13 @@ def reduce_sum(x: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Backpropagate from a scalar loss into every requires_grad leaf.
 
-    Each graph node is visited exactly once.  Nodes are not freed as they
-    run, so leaf gradients accumulate across calls: running backward twice on
-    the same graph doubles them.
+    Each graph node is visited once, in reverse topological order, and is
+    consumed at its turn: once its VJP has returned, its ``_vjp`` and
+    ``_parents`` are dropped, so the arrays only that VJP read are freed
+    while the rest of the backward runs.  Its inputs' nodes are consumed
+    later, at their own turns.  A second backward that reaches a consumed
+    node, through the same loss or another loss built from the same forward,
+    raises ``ShapeError`` before any VJP runs, so no leaf gradient changes.
     """
     if loss.data.shape != (1, 1, 1, 1):
         raise ShapeError(f"backward: loss must have shape (1, 1, 1, 1), got {loss.shape}")
@@ -709,6 +721,9 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._parents is None:
+            raise ShapeError("backward: the graph was consumed by an earlier backward; "
+                             "run the forward again")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -718,13 +733,13 @@ def backward(loss: Tensor) -> None:
     flow: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(order):
         g = flow.pop(id(node), None)
-        if g is None:
-            continue
         if node._vjp is not None:
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or parent is _CONSTANT:
-                    continue
-                held = flow.get(id(parent))
-                flow[id(parent)] = pg if held is None else held + pg
-        elif node.requires_grad:
+            if g is not None:
+                for parent, pg in zip(node._parents, node._vjp(g)):
+                    if pg is None or parent is _CONSTANT:
+                        continue
+                    held = flow.get(id(parent))
+                    flow[id(parent)] = pg if held is None else held + pg
+            node._vjp = node._parents = None
+        elif g is not None and node.requires_grad:
             node.grad = g.astype(node.dtype, copy=True) if node.grad is None else node.grad + g

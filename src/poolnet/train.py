@@ -6,12 +6,14 @@ has batches.  Images keep their native sizes (padded to a multiple of 16,
 never resized); iteration follows manifest order and all randomness comes
 from the configured seed, making identical-seed runs bitwise identical.
 
-One step's autograd graph is alive at a time: ``_train_step`` owns the
-forward's outputs and the loss, so the graph is freed when it returns,
-before the next batch is loaded and its forward builds another.  Before
-the first step and before any output, every manifest entry is read as the
-loader reads it: its padded size must suit the model, and every batch's
-entries must share one padded size.
+At most one step's autograd graph is alive, and it shrinks as its backward
+runs.  ``_train_step`` clears the last step's gradients before the forward
+builds the graph; ``backward`` frees each node once its VJP has returned,
+so the new gradients grow as the graph goes; the forward's outputs and the
+loss die when ``_train_step`` returns, before the next batch is loaded.
+Before the first step and before any output, every manifest entry is read
+as the loader reads it: its padded size must suit the model, and every
+batch's entries must share one padded size.
 """
 
 from __future__ import annotations
@@ -135,7 +137,6 @@ def train_model(model: SaliencyNet, config: TrainConfig, saliency_data: Manifest
         optimizer.load_state_dict(resume_state)
         start_epoch = read_ints(resume_state, "progress/epoch", 1)[0] + 1
 
-
     output_dir = Path(output_dir) if output_dir is not None else None
     if output_dir is not None:
         output_dir.mkdir(parents=True, exist_ok=True)
@@ -185,7 +186,9 @@ def train_model(model: SaliencyNet, config: TrainConfig, saliency_data: Manifest
 
 def _train_step(model: SaliencyNet, optimizer: Adam, kind: str, x: np.ndarray,
                 t: np.ndarray, epoch: int) -> float:
-    """One forward, loss, backward and Adam step; its graph dies with this frame."""
+    """Clear the last step's gradients, then one forward, loss, backward
+    (which consumes the graph) and Adam step."""
+    optimizer.zero_grad()
     out = model(Tensor(x))
     if kind == "sal":
         loss = bce_with_logits(out.saliency, t)
@@ -195,7 +198,6 @@ def _train_step(model: SaliencyNet, optimizer: Adam, kind: str, x: np.ndarray,
     if not np.isfinite(loss_value):
         raise NumericError(f"non-finite {kind} loss at epoch {epoch}, "
                            f"step {optimizer.step_count + 1}")
-    optimizer.zero_grad()
     backward(loss)
     optimizer.step()
     return loss_value

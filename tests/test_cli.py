@@ -359,7 +359,7 @@ class TestExitCodes:
             assert str(bad / "m.csv") in err
         assert not out.exists()
 
-    def test_poisoned_weights_are_four(self, tmp_path, sal_dir, run_dir, capsys):
+    def test_poisoned_weights_are_four(self, tmp_path, sal_dir, run_dir, capsys, recwarn):
         model, state = model_from_checkpoint(run_dir / "final.ckpt")
         model.head.weight.data[:] = np.inf
         poisoned = tmp_path / "poisoned.ckpt"
@@ -368,7 +368,10 @@ class TestExitCodes:
                 "--output-dir", str(tmp_path / "out"), "--resume", str(poisoned),
                 "--epochs", "2", "--lr-drop-epoch", "1", "--seed", "0"]
         assert main(argv) == 4
-        assert "numeric error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the typed error alone: no NumPy RuntimeWarning printed before it
+        assert err.startswith("numeric error") and err.count("\n") == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_nan_weights_at_inference_are_four(self, tmp_path, sal_dir, run_dir, capsys):
         model, state = model_from_checkpoint(run_dir / "final.ckpt")
