@@ -21,8 +21,8 @@ class Parameter(Tensor):
 
     __slots__ = ()
 
-    def __init__(self, data, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
 
 class Module:
@@ -95,4 +95,4 @@ class Conv2d(Module):
         self.bias = Parameter(np.zeros(out_channels))
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, padding=self.weight.shape[-1] // 2)
+        return conv2d(x, self.weight, self.bias)

@@ -3,9 +3,11 @@
 Every layer the saliency models need (convolution, the pooling family,
 bilinear upsampling, pointwise activations) is implemented here as a free
 function that records its inputs and a vector-Jacobian product on the
-output tensor.  ``conv2d`` works in one channel-major layout: a
-(c*kh*kw, n*oh*ow) patch matrix, W (out_c, c*kh*kw) times it gives the
-(out_c, n*oh*ow) output, and the output gradient in that same layout feeds
+output tensor.  ``conv2d`` runs the one convolution the network uses: a
+square odd k x k kernel at stride 1, a zero border k // 2 wide, so the
+output keeps the input's h x w, and a bias.  It works in one channel-major
+layout: a (c*k*k, n*h*w) patch matrix, W (out_c, c*k*k) times it gives the
+(out_c, n*h*w) output, and the output gradient in that same layout feeds
 both d_weight and d_input, so at batch 1 no operand is transposed.
 
 The conv forward has one loop: it builds that patch matrix for one band of
@@ -13,7 +15,7 @@ output rows at a time, across the whole batch, and GEMMs each band into its
 slice of one preallocated output.  So a layer's whole patch matrix (70 MB
 for the 16->16 conv at 304x400) never exists, and each band is still in
 cache when its GEMM reads it.  Every output column is its own dot product
-over c*kh*kw, so in float32 a band gives the bits of the whole GEMM as long
+over c*k*k, so in float32 a band gives the bits of the whole GEMM as long
 as BLAS runs the same kernel on both.  Below about 1e6 multiply-adds
 OpenBLAS's sgemm switches to a small-matrix kernel that rounds differently,
 so no band's GEMM may fall under a 2e6 floor; a layer whose whole GEMM is
@@ -26,7 +28,7 @@ nothing rests on those bits.
 The VJP bands a layer with the forward's row bands once its patch matrix
 reaches 16 MB; a smaller layer runs one GEMM each for d_weight and d_cols.
 d_x runs the d_cols GEMM on one band of the output gradient's rows at a
-time and adds its taps into the padded input gradient with a (kh - 1)-row
+time and adds its taps into the padded input gradient with a (k - 1)-row
 halo, walking the bands from the bottom, so each element takes its taps in
 the (i, j) order of one pass.  d_weight sums over every output column, so
 bands would regroup its additions and change its bits; instead it runs one
@@ -222,46 +224,39 @@ _BAND_MIN_MACS = 2_000_000
 _VJP_BAND_BYTES = 16 << 20
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate ``x`` with ``weight`` (out_c, in_c, k, k).
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Cross-correlate ``x`` with ``weight`` (out_c, in_c, k, k), k odd, plus ``bias``.
 
-    Output spatial size is floor((H + 2*padding - k) / stride) + 1.  The
-    backward pass fills gradients for the weight and the bias, and for the
-    input when it requires grad or has lineage.
+    The stride is 1 and the input sits in a zero border k // 2 wide, so the
+    output has the input's height and width: PoolNet changes resolution only
+    by pooling and resizing.  The backward pass fills gradients for the
+    weight and the bias, and for the input when it requires grad or has
+    lineage.
     """
     _check_rank4(x, "conv2d input")
     _check_rank4(weight, "conv2d weight")
     n, c, h, w = x.shape
-    out_c, in_c, kh, kw = weight.shape
+    out_c, in_c, k, kw = weight.shape
     if in_c != c:
         raise ShapeError(f"conv2d: input has {c} channels but weight expects {in_c}")
-    if stride < 1:
-        raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ShapeError(f"conv2d: padding must be >= 0, got {padding}")
-    if bias is not None and bias.data.shape != (out_c,):
+    if kw != k or k % 2 == 0:
+        raise ShapeError(f"conv2d: kernel must be square with an odd side, got {k}x{kw}")
+    if bias.data.shape != (out_c,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} does not match {out_c} output channels")
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"conv2d: kernel {kh}x{kw} does not fit input {h}x{w} with padding {padding}")
+    pad = k // 2
 
     x_data, w_shape = x.data, weight.shape
-    xp = _pad(x_data, padding)
+    xp = _pad(x_data, pad)
     w2 = weight.data.reshape(out_c, -1)
-    edges = _band_edges(out_c, w2.shape[1], oh, ow, xp.itemsize)
-    out = np.empty((out_c, n, oh, ow), dtype=np.result_type(xp, w2))
+    edges = _band_edges(out_c, w2.shape[1], h, w, xp.itemsize)
+    out = np.empty((out_c, n, h, w), dtype=np.result_type(xp, w2))
     for r0, r1 in zip(edges[:-1], edges[1:]):
-        band = xp[:, :, r0 * stride:(r1 - 1) * stride + kh]
-        cols = _im2col(band, kh, kw, r1 - r0, ow, stride)
-        out[:, :, r0:r1] = np.dot(w2, cols).reshape(out_c, n, r1 - r0, ow)
-    if bias is not None:
-        out += bias.data[:, None, None, None]
+        cols = _im2col(xp[:, :, r0:r1 + k - 1], k, r1 - r0, w)
+        out[:, :, r0:r1] = np.dot(w2, cols).reshape(out_c, n, r1 - r0, w)
+    out += bias.data[:, None, None, None]
     # decided at record time: an input with no lineage, such as the image,
     # needs no d_x
     need_dx = x.requires_grad or x._node is not None
-    has_bias = bias is not None
 
     def vjp(g: np.ndarray):
         # the padded input and its patch matrix are rebuilt from x's data
@@ -269,43 +264,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         # backward would dominate peak memory
         g2 = g.transpose(1, 0, 2, 3).reshape(out_c, -1)
         banded = w2.shape[1] * g2.shape[1] * x_data.itemsize >= _VJP_BAND_BYTES
-        xp = _pad(x_data, padding)
+        xp = _pad(x_data, pad)
         if banded:
             # one GEMM per kernel tap: each d_weight element keeps the one
             # GEMM's dot product over every output column
             d_weight = np.empty(w_shape, dtype=np.result_type(g2, xp))
-            for i in range(kh):
-                for j in range(kw):
-                    d_weight[:, :, i, j] = np.dot(
-                        g2, _im2col(xp[:, :, i:, j:], 1, 1, oh, ow, stride).T)
+            for i in range(k):
+                for j in range(k):
+                    d_weight[:, :, i, j] = np.dot(g2, _im2col(xp[:, :, i:, j:], 1, h, w).T)
         else:
-            d_weight = np.dot(g2, _im2col(xp, kh, kw, oh, ow, stride).T).reshape(w_shape)
+            d_weight = np.dot(g2, _im2col(xp, k, h, w).T).reshape(w_shape)
         del xp  # before d_xp exists
         d_x = None
         if need_dx:
-            g4 = g2.reshape(out_c, n, oh, ow)
-            d_xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x_data.dtype)
+            g4 = g2.reshape(out_c, n, h, w)
+            d_xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x_data.dtype)
             # bottom band first: a d_xp row takes its taps from the band below
             # before the band above, so in (i, j) order, as one pass would
-            bands = list(zip(edges[:-1], edges[1:])) if banded else [(0, oh)]
+            bands = list(zip(edges[:-1], edges[1:])) if banded else [(0, h)]
             for r0, r1 in reversed(bands):
                 rows = r1 - r0
                 d_cols = np.dot(w2.T, g4[:, :, r0:r1].reshape(out_c, -1))
-                d_cols = d_cols.reshape(c, kh, kw, n, rows, ow)
-                d_band = d_xp[:, :, r0 * stride:(r1 - 1) * stride + kh]
-                for i in range(kh):
-                    for j in range(kw):
-                        d_band[:, :, i:i + stride * rows:stride,
-                               j:j + stride * ow:stride] += d_cols[:, i, j]
-            d_x = d_xp.transpose(1, 0, 2, 3)
-            if padding:
-                d_x = d_x[:, :, padding:padding + h, padding:padding + w]
-        if has_bias:
-            return d_x, d_weight, g.sum(axis=(0, 2, 3))
-        return d_x, d_weight
+                d_cols = d_cols.reshape(c, k, k, n, rows, w)
+                d_band = d_xp[:, :, r0:r1 + k - 1]
+                for i in range(k):
+                    for j in range(k):
+                        d_band[:, :, i:i + rows, j:j + w] += d_cols[:, i, j]
+            d_x = d_xp.transpose(1, 0, 2, 3)[:, :, pad:pad + h, pad:pad + w]
+        return d_x, d_weight, g.sum(axis=(0, 2, 3))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _op_output(out.transpose(1, 0, 2, 3), parents, vjp)
+    return _op_output(out.transpose(1, 0, 2, 3), (x, weight, bias), vjp)
 
 
 def _pad(a: np.ndarray, padding: int) -> np.ndarray:
@@ -331,19 +319,18 @@ def _band_edges(out_c: int, k: int, oh: int, ow: int, itemsize: int) -> list[int
     return [oh * i // bands for i in range(bands + 1)]
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int) -> np.ndarray:
-    """Patch matrix of padded ``xp``: C-contiguous (c*kh*kw, n*oh*ow).
+def _im2col(xp: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
+    """Patch matrix of ``xp`` for an h x w output: C-contiguous (c*k*k, n*h*w).
 
     Row (ci, i, j) holds input channel ci shifted by kernel tap (i, j), so a
-    GEMM over it reduces in the same (c, kh, kw) order as the weight layout.
+    GEMM over it reduces in the same (c, k, k) order as the weight layout.
     """
     n, c = xp.shape[:2]
-    cols = np.empty((c, kh, kw, n, oh, ow), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, :, i:i + stride * oh:stride,
-                               j:j + stride * ow:stride].transpose(1, 0, 2, 3)
-    return cols.reshape(c * kh * kw, n * oh * ow)
+    cols = np.empty((c, k, k, n, h, w), dtype=xp.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xp[:, :, i:i + h, j:j + w].transpose(1, 0, 2, 3)
+    return cols.reshape(c * k * k, n * h * w)
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +727,8 @@ def backward(loss: Tensor) -> None:
                         continue
                     held = flow.get(id(parent))
                     flow[id(parent)] = pg if held is None else held + pg
+                # a summed-away gradient must not live through the next VJP
+                held = pg = None
             node._vjp = node._parents = None
         elif g is not None and node.requires_grad:
             node.grad = g.astype(node.dtype, copy=True) if node.grad is None else node.grad + g

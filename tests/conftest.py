@@ -131,17 +131,17 @@ def conv_reference():
     return reference_conv2d
 
 
-def reference_conv2d_forward(x, w, stride, padding):
+def reference_conv2d_forward(x, w, b):
     """conv2d's output as one GEMM over the whole patch matrix, as the
     forward computed it before it was banded; the banded forward must give
     the same bytes."""
-    n = x.shape[0]
-    out_c, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (xp.shape[2] - kh) // stride + 1
-    ow = (xp.shape[3] - kw) // stride + 1
-    out = np.dot(w.reshape(out_c, -1), _im2col(xp, kh, kw, oh, ow, stride))
-    return out.reshape(out_c, n, oh, ow).transpose(1, 0, 2, 3)
+    n, _, h, width = x.shape
+    out_c, _, k, _ = w.shape
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.dot(w.reshape(out_c, -1), _im2col(xp, k, h, width))
+    out += b[:, None]
+    return out.reshape(out_c, n, h, width).transpose(1, 0, 2, 3)
 
 
 @pytest.fixture
@@ -149,23 +149,23 @@ def conv_forward_reference():
     return reference_conv2d_forward
 
 
-def reference_conv2d_vjp(x, w, stride, padding, g):
+def reference_conv2d_vjp(x, w, g):
     """conv2d's (d_x, d_weight) for output gradient ``g`` as one GEMM each
     over the whole patch matrix, as the VJP computed them before it was
     banded; the banded VJP, d_weight one GEMM per kernel tap, must give the
     same bytes."""
     n, c, h, width = x.shape
-    out_c, _, kh, kw = w.shape
-    oh, ow = g.shape[2:]
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out_c, _, k, _ = w.shape
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     g2 = g.transpose(1, 0, 2, 3).reshape(out_c, -1)
-    d_w = np.dot(g2, _im2col(xp, kh, kw, oh, ow, stride).T).reshape(w.shape)
-    d_cols = np.dot(w.reshape(out_c, -1).T, g2).reshape(c, kh, kw, n, oh, ow)
+    d_w = np.dot(g2, _im2col(xp, k, h, width).T).reshape(w.shape)
+    d_cols = np.dot(w.reshape(out_c, -1).T, g2).reshape(c, k, k, n, h, width)
     d_xp = np.zeros((c, n) + xp.shape[2:], dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            d_xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d_cols[:, i, j]
-    d_x = d_xp.transpose(1, 0, 2, 3)[:, :, padding:padding + h, padding:padding + width]
+    for i in range(k):
+        for j in range(k):
+            d_xp[:, :, i:i + h, j:j + width] += d_cols[:, i, j]
+    d_x = d_xp.transpose(1, 0, 2, 3)[:, :, pad:pad + h, pad:pad + width]
     return d_x, d_w
 
 

@@ -66,7 +66,7 @@ def test_criterion_1_gradient_suite(gradcheck, scalarize, capsys):
         worst = max(worst, gradcheck(lambda lv: scalarize(build(lv), weights),
                                      leaves, rng, **kwargs))
 
-    check(lambda lv: conv2d(lv["x"], lv["w"], lv["b"], stride=2, padding=1),
+    check(lambda lv: conv2d(lv["x"], lv["w"], lv["b"]),
           {"x": leaf(rng, (1, 2, 6, 6)), "w": leaf(rng, (3, 2, 3, 3)),
            "b": leaf(rng, (3,))}, coords_per_leaf=24)
     check(lambda lv: avg_pool2d(lv["x"], 2), {"x": leaf(rng, (1, 3, 4, 4))},

@@ -6,6 +6,12 @@ tests aside, outside the statement that defines it, so recursion alone does
 not count.  The harness's string constants count too, as its tracer looks
 ops up by name.  Names are matched by spelling alone, whatever module they
 come from.
+
+Every defaulted parameter of a function, method or class ``__init__`` in
+the package has a caller too, unless its function or class is public (in
+``poolnet.__all__``): some call in the package or the harness spelling the
+function's, method's or class's name passes it by keyword, by position, or
+through ``*`` or ``**``.  A default that no call overrides is a constant.
 """
 
 import ast
@@ -76,3 +82,98 @@ def test_every_definition_has_a_caller():
     used = set().union(*map(references, package.values()),
                        *(references(parse(p), strings=True) for p in HARNESS))
     assert unreferenced(package, used) == []
+
+
+def public_names(init: ast.Module) -> set[str]:
+    """The names the package's ``__all__`` lists."""
+    for stmt in init.body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets):
+            return set(ast.literal_eval(stmt.value))
+    return set()
+
+
+def settings(tree: ast.Module) -> list[tuple[str, str, list[str], list[str]]]:
+    """(owner, callee, positional, defaulted) of each function, method and
+    class ``__init__`` in ``tree`` with a defaulted parameter.  ``owner`` is
+    the function, or the class holding the method; ``callee`` is the name a
+    call spells (the class, for ``__init__``); ``positional`` lists the
+    parameters a call's positions bind, in order."""
+    found = []
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            a = child.args
+            names = [p.arg for p in a.posonlyargs + a.args]
+            defaulted = names[len(names) - len(a.defaults):] if a.defaults else []
+            defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            bound = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+            if defaulted:
+                callee = cls if bound and child.name == "__init__" else child.name
+                found.append((cls or child.name, callee, names[bound:], defaulted))
+            visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def passed(tree: ast.Module, callee: str, positional: list[str], defaulted: list[str]) -> set[str]:
+    """Parameters that some call in ``tree`` spelling ``callee`` passes by
+    keyword, by position, or through ``*`` or ``**``."""
+    given = set()
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        if name != callee:
+            continue
+        if any(isinstance(arg, ast.Starred) for arg in call.args):
+            given |= set(positional)
+        given |= set(positional[:len(call.args)])
+        for kw in call.keywords:
+            given |= set(positional + defaulted) if kw.arg is None else {kw.arg}
+    return given
+
+
+def unset(package: dict[str, ast.Module], callers: list[ast.Module],
+          public: set[str]) -> list[str]:
+    """``owner(parameter)``, or ``owner.method(parameter)``, of each
+    defaulted parameter in ``package`` whose owner ``public`` lacks and that
+    no call in ``callers`` passes."""
+    missing = []
+    for tree in package.values():
+        for owner, callee, positional, defaulted in settings(tree):
+            if owner in public:
+                continue
+            given = set().union(*(passed(t, callee, positional, defaulted) for t in callers))
+            label = callee if callee == owner else f"{owner}.{callee}"
+            missing += [f"{label}({p})" for p in defaulted if p not in given]
+    return sorted(missing)
+
+
+def test_a_default_no_call_passes_is_found():
+    tree = ast.parse("def f(a, b=1, c=2, d=3, *, e=4):\n    return a\n"
+                     "class Box:\n"
+                     "    def __init__(self, size=0):\n        self.size = size\n"
+                     "    def grow(self, by=1, *, to=None):\n        pass\n"
+                     "    def shrink(self, by=1, floor=0):\n        pass\n"
+                     "def g(box, args, opts):\n"
+                     "    f(0, 5)\n    f(0, d=1)\n    Box(*args)\n"
+                     "    box.grow(**opts)\n    box.shrink(2)\n")
+    assert unset({"m": tree}, [tree], set()) == ["Box.shrink(floor)", "f(c)", "f(e)"]
+    assert unset({"m": tree}, [tree], {"f", "Box"}) == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    package = {p.name: parse(p) for p in MODULES}
+    callers = list(package.values()) + [parse(p) for p in HARNESS]
+    assert unset(package, callers, public_names(package["__init__.py"])) == []

@@ -52,17 +52,19 @@ class TestOpGradients:
             "w": leaf(rng, (4, 3, 3, 3)),
             "b": Tensor(rng.normal(size=4), requires_grad=True, dtype=np.float64),
         }
-        weights = rng.normal(size=(2, 4, 3, 3))
+        weights = rng.normal(size=(2, 4, 6, 6))
 
         def scalar(lv):
-            return scalarize(conv2d(lv["x"], lv["w"], lv["b"], stride=2, padding=1), weights)
+            return scalarize(conv2d(lv["x"], lv["w"], lv["b"]), weights)
 
         gradcheck(scalar, leaves, rng)
 
     def test_conv2d_unit_stride_no_padding(self, rng, gradcheck, scalarize):
-        leaves = {"x": leaf(rng, (1, 2, 5, 5)), "w": leaf(rng, (3, 2, 3, 3))}
-        weights = rng.normal(size=(1, 3, 3, 3))
-        gradcheck(lambda lv: scalarize(conv2d(lv["x"], lv["w"]), weights), leaves, rng)
+        # a 1x1 kernel is the one conv2d pads by zero
+        leaves = {"x": leaf(rng, (1, 2, 5, 5)), "w": leaf(rng, (3, 2, 1, 1)),
+                  "b": leaf(rng, (3,))}
+        weights = rng.normal(size=(1, 3, 5, 5))
+        gradcheck(lambda lv: scalarize(conv2d(lv["x"], lv["w"], lv["b"]), weights), leaves, rng)
 
     def test_avg_pool(self, rng, gradcheck, scalarize):
         for h, w in ((8, 8), (4, 8)):
@@ -158,12 +160,13 @@ class TestCompositeGradients:
         # the smoothing pattern used at every pyramid level: pad, pool,
         # convolve, upsample, crop, add back
         leaves = {"x": leaf(rng, (1, 2, 6, 6)), "w": leaf(rng, (2, 2, 3, 3))}
+        bias = Tensor(np.zeros(2), dtype=np.float64)
         weights = rng.normal(size=(1, 2, 6, 6))
 
         def scalar(lv):
             padded = pad_replicate2d(lv["x"], 2, 2)
             pooled = avg_pool2d(padded, 4)
-            smoothed = relu(conv2d(pooled, lv["w"], padding=1))
+            smoothed = relu(conv2d(pooled, lv["w"], bias))
             restored = crop2d(upsample_bilinear(smoothed, 4), 6, 6)
             return scalarize(add(lv["x"], restored), weights)
 

@@ -7,12 +7,14 @@ from poolnet.config import TrainConfig
 from poolnet.errors import CheckpointError
 from poolnet.nn import Parameter
 from poolnet.optim import Adam, lr_at
+from poolnet.tensor import default_dtype
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def param(values):
-    return Parameter(np.asarray(values, dtype=np.float64), dtype=np.float64)
+    with default_dtype(np.float64):
+        return Parameter(values)
 
 
 def reference_adam(values, grads, lr, weight_decay=0.0):

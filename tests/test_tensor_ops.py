@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ class TestConv2d:
         # all-ones 3x3 input and kernel with padding 1: centre sees the full window
         x = image([[1.0] * 3] * 3)
         w = t([[[[1.0] * 3] * 3]])
-        out = conv2d(x, w, padding=1)
+        out = conv2d(x, w, t([0.0]))
         assert out.shape == (1, 1, 3, 3)
         assert out.data[0, 0, 1, 1] == 9.0
         # corners see a 2x2 window, edges a 2x3 window
@@ -108,18 +109,9 @@ class TestConv2d:
         # cross-correlation: a centred impulse reads the kernel back rotated 180 degrees
         x = image([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         w = t([[[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]]])
-        out = conv2d(x, w, padding=1)
+        out = conv2d(x, w, t([0.0]))
         expected = [[9.0, 8.0, 7.0], [6.0, 5.0, 4.0], [3.0, 2.0, 1.0]]
         assert np.array_equal(out.data[0, 0], expected)
-
-    def test_stride_two_window_sums(self):
-        x = image([[0.0, 1.0, 2.0, 3.0],
-                   [4.0, 5.0, 6.0, 7.0],
-                   [8.0, 9.0, 10.0, 11.0],
-                   [12.0, 13.0, 14.0, 15.0]])
-        w = t([[[[1.0, 1.0], [1.0, 1.0]]]])
-        out = conv2d(x, w, stride=2)
-        assert np.array_equal(out.data[0, 0], [[10.0, 18.0], [42.0, 50.0]])
 
     def test_channels_sum_and_bias_adds(self):
         x = t([[[[2.0]], [[3.0]]]])  # 1x2x1x1
@@ -129,58 +121,58 @@ class TestConv2d:
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            conv2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((1, 3, 3, 3))))
+            conv2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((1, 3, 3, 3))), t([0.0]))
 
-    def test_kernel_larger_than_padded_input_raises(self):
-        with pytest.raises(ShapeError):
-            conv2d(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 5, 5))))
+    def test_even_or_non_square_kernel_raises(self):
+        # half-kernel padding keeps the input's size only for a square odd kernel
+        for kh, kw in ((2, 2), (4, 4), (3, 1), (1, 3), (3, 5)):
+            with pytest.raises(ShapeError, match="square with an odd side"):
+                conv2d(t(np.zeros((1, 1, 6, 6))), t(np.zeros((1, 1, kh, kw))), t([0.0]))
 
     def test_bad_bias_shape_raises(self):
         with pytest.raises(ShapeError):
             conv2d(t(np.zeros((1, 1, 4, 4))), t(np.zeros((2, 1, 3, 3))), bias=t([1.0]))
 
-    @pytest.mark.parametrize("n, h, w, k, stride, padding", [
-        (1, 5, 7, 3, 1, 1),
-        (2, 5, 7, 3, 2, 1),
-        (2, 5, 7, 3, 1, 0),
-        (1, 5, 7, 1, 1, 0),
-        (2, 5, 7, 1, 2, 0),
-        (1, 6, 6, 3, 2, 0),
-        (1, 2, 2, 3, 1, 1),
-        (2, 1, 1, 3, 1, 1),
-        (1, 1, 1, 1, 1, 0),
-    ])
-    def test_matches_reference(self, conv_reference, n, h, w, k, stride, padding):
-        rng = np.random.default_rng(h * 100 + w * 10 + k + stride + padding)
+    REFERENCE_CASES = [(1, 5, 7, 3), (2, 5, 7, 3), (1, 5, 7, 1), (1, 2, 2, 3), (2, 1, 1, 3),
+                       (1, 1, 1, 1)]
+
+    # each id reads n-h-w-k-stride-padding
+    @pytest.mark.parametrize("n, h, w, k", REFERENCE_CASES,
+                             ids=[f"{n}-{h}-{w}-{k}-1-{k // 2}" for n, h, w, k in REFERENCE_CASES])
+    def test_matches_reference(self, conv_reference, n, h, w, k):
+        rng = np.random.default_rng(h * 100 + w * 10 + k + 1 + k // 2)
         x = t(rng.standard_normal((n, 3, h, w)), requires_grad=True)
         weight = t(rng.standard_normal((4, 3, k, k)), requires_grad=True)
         bias = t(rng.standard_normal(4), requires_grad=True)
-        out = conv2d(x, weight, bias, stride=stride, padding=padding)
+        out = conv2d(x, weight, bias)
+        assert out.shape == (n, 4, h, w)
         g = rng.standard_normal(out.shape)
         d_x, d_w, d_b = out._vjp(g)
-        expected = conv_reference(x.data, weight.data, bias.data, stride, padding, g)
+        expected = conv_reference(x.data, weight.data, bias.data, 1, k // 2, g)
         for got, want in zip((out.data, d_x, d_w, d_b), expected):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("x_shape, out_c, k, stride, layout", [
-        ((1, 32, 6, 512), 32, 3, 1, "one-row"),
-        ((1, 32, 38, 50), 32, 3, 1, "uneven"),
-        ((1, 16, 150, 200), 16, 3, 2, "uneven"),
-        ((2, 32, 38, 50), 32, 3, 1, "uneven"),
-        ((2, 16, 152, 200), 1, 1, 1, "one-gemm"),
+    # each id reads x_shape<row>-out_c-k-stride-layout
+    @pytest.mark.parametrize("x_shape, out_c, k, layout", [
+        pytest.param((1, 32, 6, 512), 32, 3, "one-row", id="x_shape0-32-3-1-one-row"),
+        pytest.param((1, 32, 38, 50), 32, 3, "uneven", id="x_shape1-32-3-1-uneven"),
+        pytest.param((1, 16, 152, 200), 16, 3, "uneven", id="x_shape2-16-3-1-uneven"),
+        pytest.param((2, 32, 38, 50), 32, 3, "uneven", id="x_shape3-32-3-1-uneven"),
+        pytest.param((2, 16, 152, 200), 1, 1, "one-gemm", id="x_shape4-1-1-1-one-gemm"),
     ])
     def test_banded_forward_matches_one_gemm(self, conv_forward_reference,
-                                             x_shape, out_c, k, stride, layout):
-        rng = np.random.default_rng(sum(x_shape) + out_c + k + stride)
+                                             x_shape, out_c, k, layout):
+        rng = np.random.default_rng(sum(x_shape) + out_c + k + 1)
         x = Tensor(rng.standard_normal(x_shape), dtype=np.float32)
         weight = Tensor(rng.standard_normal((out_c, x_shape[1], k, k)), dtype=np.float32)
-        out = conv2d(x, weight, stride=stride, padding=k // 2)
+        bias = Tensor(rng.standard_normal(out_c), dtype=np.float32)
+        out = conv2d(x, weight, bias)
         rows = np.diff(_band_edges(out_c, x_shape[1] * k * k, *out.shape[2:], 4))
         assert {"one-row": set(rows) == {1} and len(rows) > 1,
                 "uneven": len(set(rows)) == 2,
                 "one-gemm": len(rows) == 1}[layout], rows
-        want = conv_forward_reference(x.data, weight.data, stride, k // 2)
+        want = conv_forward_reference(x.data, weight.data, bias.data)
         assert out.data.tobytes() == np.ascontiguousarray(want).tobytes()
 
     @pytest.mark.parametrize("config, size", [
@@ -192,13 +184,13 @@ class TestConv2d:
             self, conv_forward_reference, monkeypatch, config, size):
         outcome = {}
 
-        def checked_conv2d(x, weight, bias=None, stride=1, padding=0):
-            key = (x.shape, weight.shape, stride, padding)
+        def checked_conv2d(x, weight, bias):
+            key = (x.shape, weight.shape)
+            out = conv2d(x, weight, bias)
             if key not in outcome:
-                got = conv2d(x, weight, stride=stride, padding=padding).data
-                want = conv_forward_reference(x.data, weight.data, stride, padding)
-                outcome[key] = got.tobytes() == np.ascontiguousarray(want).tobytes()
-            return conv2d(x, weight, bias, stride=stride, padding=padding)
+                want = conv_forward_reference(x.data, weight.data, bias.data)
+                outcome[key] = out.data.tobytes() == np.ascontiguousarray(want).tobytes()
+            return out
 
         monkeypatch.setattr(poolnet.nn, "conv2d", checked_conv2d)
         model = build_model(config, seed=0)
@@ -212,11 +204,12 @@ class TestConv2d:
         rng = np.random.default_rng(9)
         x = Tensor(rng.standard_normal((1, 16, 304, 400)), dtype=np.float32)
         weight = Tensor(rng.standard_normal((16, 16, 3, 3)), dtype=np.float32)
+        bias = Tensor(np.zeros(16), dtype=np.float32)
         padded_bytes = 16 * 306 * 402 * 4
         tracemalloc.start()
         try:
             with no_grad():
-                out = conv2d(x, weight, padding=1)
+                out = conv2d(x, weight, bias)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -228,9 +221,10 @@ class TestConv2d:
         x = Tensor(rng.standard_normal((1, 16, 304, 400)), requires_grad=True, dtype=np.float32)
         weight = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True,
                         dtype=np.float32)
+        bias = Tensor(np.zeros(16), dtype=np.float32)
         tracemalloc.start()
         try:
-            out = conv2d(x, weight, padding=1)
+            out = conv2d(x, weight, bias)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -240,16 +234,16 @@ class TestConv2d:
 
     @pytest.fixture(scope="class")
     def banded_vjp_shapes(self):
-        """Every (x shape, weight shape, padding, dtype) of the default and
-        edge models at 304x400 in float32, at batch 1 and 2, whose patch
-        matrix is banded."""
+        """Every (x shape, weight shape, dtype) of the default and edge
+        models at 304x400 in float32, at batch 1 and 2, whose patch matrix
+        is banded."""
         seen = []
 
-        def recording_conv2d(x, weight, bias=None, stride=1, padding=0):
-            key = (x.shape[1:], weight.shape, padding)
+        def recording_conv2d(x, weight, bias):
+            key = (x.shape[1:], weight.shape)
             if key not in seen:
                 seen.append(key)
-            return conv2d(x, weight, bias, stride=stride, padding=padding)
+            return conv2d(x, weight, bias)
 
         saved = poolnet.nn.conv2d
         poolnet.nn.conv2d = recording_conv2d
@@ -260,8 +254,8 @@ class TestConv2d:
                     build_model(config, seed=0)(image)
         finally:
             poolnet.nn.conv2d = saved
-        return [((n,) + x_shape, w_shape, padding, "float32")
-                for n in (1, 2) for x_shape, w_shape, padding in seen
+        return [((n,) + x_shape, w_shape, "float32")
+                for n in (1, 2) for x_shape, w_shape in seen
                 if np.prod(w_shape[1:]) * n * x_shape[1] * x_shape[2] * 4 >= _VJP_BAND_BYTES]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -272,12 +266,12 @@ class TestConv2d:
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
         # one shape in float64 too, the gradient checks' mode
-        shapes = banded_vjp_shapes + [((1, 32, 152, 200), (32, 32, 3, 3), 1, "float64")]
+        shapes = banded_vjp_shapes + [((1, 32, 152, 200), (32, 32, 3, 3), "float64")]
         done = subprocess.run([sys.executable, __file__], input=json.dumps(shapes),
                               env=env, capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr
         assert len(banded_vjp_shapes) >= 15
-        assert ((1, 64, 76, 100), (64, 64, 3, 3), 1, "float32") in banded_vjp_shapes
+        assert ((1, 64, 76, 100), (64, 64, 3, 3), "float32") in banded_vjp_shapes
         assert json.loads(done.stdout) == []
 
     def test_banded_vjp_holds_no_whole_patch_matrix(self):
@@ -290,7 +284,7 @@ class TestConv2d:
             x = Tensor(rng.standard_normal(x_shape), requires_grad=True, dtype=np.float32)
             weight = Tensor(rng.standard_normal((c, c, 3, 3)), requires_grad=True,
                             dtype=np.float32)
-            out = conv2d(x, weight, padding=1)
+            out = conv2d(x, weight, Tensor(np.zeros(c), dtype=np.float32))
             g = rng.standard_normal(out.shape).astype(np.float32)
             tracemalloc.start()
             try:
@@ -308,7 +302,7 @@ class TestConv2d:
         grads = {}
         for needs_grad in (True, False):
             x = t(data, requires_grad=needs_grad)
-            out = conv2d(x, weight, padding=1)
+            out = conv2d(x, weight, t(np.zeros(3)))
             d_x = out._vjp(g)[0]
             assert (d_x is not None) == needs_grad
             weight.zero_grad()
@@ -679,7 +673,7 @@ class TestBackwardContract:
         rng = np.random.default_rng(5)
         picture = t(rng.standard_normal((1, 2, 6, 5)))
         weight = t(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
-        out = conv2d(picture, weight, padding=1)
+        out = conv2d(picture, weight, t(np.zeros(3)))
         inner, calls = out._vjp, []
 
         def wrapper(g):
@@ -690,7 +684,7 @@ class TestBackwardContract:
         out._vjp = wrapper
         assert out._vjp is wrapper
         assert [(p.requires_grad, p._vjp is not None) for p in out._parents] == \
-            [(False, False), (True, False)]
+            [(False, False), (True, False), (False, False)]
         loss = reduce_sum(relu(out))
         assert loss._parents[0]._parents[0]._vjp is wrapper
         backward(loss)
@@ -721,6 +715,28 @@ class TestBackwardContract:
             backward(second)
         assert (x.grad.tobytes(), w.grad.tobytes()) == grads
 
+    def test_summed_away_gradient_is_freed_before_the_next_vjp(self):
+        # add's VJP hands its incoming gradient to a twice, and backward sums
+        # the two; nothing may keep that gradient alive while a's VJP runs
+        x = t([[[[2.0, -1.0], [0.5, 3.0]]]], requires_grad=True)
+        a = relu(x)
+        total = add(a, a)
+        loss = reduce_sum(total)
+        add_vjp, a_vjp, incoming, alive = total._vjp, a._vjp, [], []
+
+        def keep_weakref(g):
+            incoming.append(weakref.ref(g))
+            return add_vjp(g)
+
+        def check_freed(g):
+            alive.append(incoming[0]() is not None)
+            return a_vjp(g)
+
+        total._vjp, a._vjp = keep_weakref, check_freed
+        backward(loss)
+        assert alive == [False]
+        assert np.array_equal(x.grad, [[[[2.0, 0.0], [2.0, 2.0]]]])
+
     def test_shared_subexpression_gradient(self):
         # s = x + x contributes twice: d(sum(s))/dx = 2
         x = t([[[[1.5]]]], requires_grad=True)
@@ -749,21 +765,21 @@ class TestBackwardContract:
 
 def check_banded_vjp(shapes) -> list:
     """conv2d's VJP against the one-GEMM reference on data of each
-    (x shape, weight shape, padding, dtype); the shapes whose bytes differ."""
+    (x shape, weight shape, dtype); the shapes whose bytes differ."""
     from conftest import reference_conv2d_vjp
 
     rng = np.random.default_rng(17)
     differ = []
-    for x_shape, w_shape, padding, dtype in shapes:
+    for x_shape, w_shape, dtype in shapes:
         x = Tensor(rng.random(x_shape, dtype=dtype) - 0.5, requires_grad=True, dtype=dtype)
         weight = Tensor(rng.random(w_shape, dtype=dtype) - 0.5, requires_grad=True, dtype=dtype)
-        out = conv2d(x, weight, padding=padding)
+        out = conv2d(x, weight, Tensor(np.zeros(w_shape[0]), dtype=dtype))
         g = rng.random(out.shape, dtype=dtype) - 0.5
         got = out._vjp(g)[:2]
-        want = reference_conv2d_vjp(x.data, weight.data, 1, padding, g)
+        want = reference_conv2d_vjp(x.data, weight.data, g)
         if any(np.ascontiguousarray(a).tobytes() != np.ascontiguousarray(b).tobytes()
                for a, b in zip(got, want)):
-            differ.append([x_shape, w_shape, padding, dtype])
+            differ.append([x_shape, w_shape, dtype])
     return differ
 
 
