@@ -2,7 +2,8 @@
 
 Configuration comes from an optional ``key = value`` file plus flags; flags
 win.  Exit codes: 0 success, 2 configuration error, 3 data error (a file
-that is missing, malformed or cannot be read or written), 4 numeric failure.
+that is missing, malformed or cannot be read or written, or an input too
+large for memory), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .train import train_model
 
 def _parse_wxh(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
-    if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
-        raise ConfigError(f"expected a size like 400x300, got {text!r}")
+    if len(parts) != 2 or not all(p.strip().isdigit() and int(p) > 0 for p in parts):
+        raise ConfigError(f"expected a size like 400x300, both sides positive, got {text!r}")
     return int(parts[0]), int(parts[1])
 
 
@@ -292,8 +293,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, CheckpointError, ShapeError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except (DataError, CheckpointError, ShapeError, OSError, MemoryError) as exc:
+        what = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"data error: {what}{exc}", file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -12,8 +12,8 @@ sharpen the result:
 
 An optional edge branch taps the three shallow fusion levels, supervises
 boundary maps, and widens the saliency head with its features.  All outputs
-are logits at the input resolution; inputs must be RGB with height and width
-divisible by 16 and, with pyramid pooling on, at least 16 * max(ppm_sizes).
+are logits at the input resolution; inputs must be RGB, each side a positive
+multiple of 16 and, with pyramid pooling on, at least 16 * max(ppm_sizes).
 """
 
 from __future__ import annotations
@@ -288,8 +288,8 @@ class SaliencyNet(Module):
 
 def check_input_size(config: ModelConfig, h: int, w: int, name: str = "model input") -> None:
     """Raise ``ShapeError`` unless the network takes an h x w input."""
-    if h % PAD_MULTIPLE or w % PAD_MULTIPLE:
-        raise ShapeError(f"{name} size {h}x{w} must be divisible by {PAD_MULTIPLE}")
+    if min(h, w) < 1 or h % PAD_MULTIPLE or w % PAD_MULTIPLE:
+        raise ShapeError(f"{name} size {h}x{w} must be positive multiples of {PAD_MULTIPLE}")
     if config.enable_ppm:
         # the deepest map (stride 16) must hold the largest pooling grid
         low = 16 * max(config.ppm_sizes)

@@ -25,20 +25,21 @@ at 76x100 and the 128->128 conv at 38x50 round differently from one GEMM,
 in the forward and in d_x.  Gradient checks compare at a tolerance, so
 nothing rests on those bits.
 
-The VJP bands a layer with the forward's row bands once its patch matrix
-reaches 16 MB; a smaller layer runs one GEMM each for d_weight and d_cols.
-d_x runs the d_cols GEMM on one band of the output gradient's rows at a
-time and adds its taps into the padded input gradient with a (k - 1)-row
-halo, walking the bands from the bottom, so each element takes its taps in
-the (i, j) order of one pass.  d_weight sums over every output column, so
-bands would regroup its additions and change its bits; instead it runs one
-GEMM per kernel tap (i, j), the output gradient times the input shifted by
-that tap, as kn2row does (Vasudevan, Anderson & Gregg, ASAP 2017).  That
-splits the one GEMM's output columns, never its reduction, so each element
-keeps its dot product, as each forward band does.  The VJP re-pads the
-input from its data with the forward's zero border (``_pad``) rather than
-keep a padded copy, and drops it before d_x's buffer exists.  The 16->16
-conv's VJP at 304x400 peaks at 16 MB instead of 74.
+The VJP splits its GEMMs by that same floor.  d_x runs the d_cols GEMM on
+one forward band of the output gradient's rows at a time, so each GEMM has a
+forward band's multiply-adds, and adds its taps into the padded input
+gradient with a (k - 1)-row halo, walking the bands from the bottom, so each
+element takes its taps in the (i, j) order of one pass.  d_weight sums over
+every output column, so bands would regroup its additions and change its
+bits; instead, if one tap's GEMM clears the floor, it runs one GEMM per
+kernel tap (i, j), the output gradient times the input shifted by that tap,
+as kn2row does (Vasudevan, Anderson & Gregg, ASAP 2017), and otherwise one
+GEMM over the whole patch matrix.  A tap splits the one GEMM's output
+columns, never its reduction, so each element keeps its dot product, as each
+forward band does.  The VJP re-pads the input from its data with the
+forward's zero border (``_pad``) rather than keep a padded copy, and drops
+it before d_x's buffer exists.  The 16->16 conv's VJP at 304x400 peaks at
+16 MB instead of 74.
 
 ``max_pool2d`` walks the rate x rate strided taps in row-major order under
 ``np.argmax``'s first-maximum, first-NaN rule and copies values as bit
@@ -214,14 +215,12 @@ def _check_rank4(t: Tensor, role: str) -> None:
 # counted for one image of the batch: about 512 KB of patch matrix; 512
 # columns, as each band's GEMM packs the whole weight matrix again, which
 # narrow deep maps would otherwise repeat too often; and the 2e6
-# multiply-add floor that keeps OpenBLAS on one kernel.
+# multiply-add floor that keeps OpenBLAS on one kernel.  That floor decides
+# every split GEMM of the conv: the forward's bands, d_x's bands (the same
+# ones) and d_weight's kernel taps.
 _BAND_BYTES = 1 << 19
 _BAND_MIN_COLS = 512
 _BAND_MIN_MACS = 2_000_000
-# conv2d's VJP bands a layer whose patch matrix holds at least this many
-# bytes; a smaller layer's tap GEMMs could fall under sgemm's small-matrix
-# kernel, so it runs one GEMM each for d_weight and d_cols
-_VJP_BAND_BYTES = 16 << 20
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -263,9 +262,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         # rather than kept from the forward: every layer's copies held until
         # backward would dominate peak memory
         g2 = g.transpose(1, 0, 2, 3).reshape(out_c, -1)
-        banded = w2.shape[1] * g2.shape[1] * x_data.itemsize >= _VJP_BAND_BYTES
         xp = _pad(x_data, pad)
-        if banded:
+        if out_c * c * g2.shape[1] >= _BAND_MIN_MACS:
             # one GEMM per kernel tap: each d_weight element keeps the one
             # GEMM's dot product over every output column
             d_weight = np.empty(w_shape, dtype=np.result_type(g2, xp))
@@ -281,8 +279,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             d_xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x_data.dtype)
             # bottom band first: a d_xp row takes its taps from the band below
             # before the band above, so in (i, j) order, as one pass would
-            bands = list(zip(edges[:-1], edges[1:])) if banded else [(0, h)]
-            for r0, r1 in reversed(bands):
+            for r0, r1 in reversed(list(zip(edges[:-1], edges[1:]))):
                 rows = r1 - r0
                 d_cols = np.dot(w2.T, g4[:, :, r0:r1].reshape(out_c, -1))
                 d_cols = d_cols.reshape(c, k, k, n, rows, w)

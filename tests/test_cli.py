@@ -4,12 +4,17 @@ and help text."""
 import argparse
 import csv
 import dataclasses
+import os
+import resource
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poolnet
 from poolnet.checkpoint import load_checkpoint, save_checkpoint
 from poolnet.cli import build_parser, main
 from poolnet.config import CONFIG_FIELDS, ModelConfig, RunConfig, TrainConfig
@@ -62,6 +67,24 @@ class TestExitCodes:
             main(["bench", "--size", "400by300", *MICRO_MODEL])
         assert info.value.code == 2
         assert "expected a size like 400x300" in capsys.readouterr().err
+
+    def test_out_of_memory_is_three(self):
+        # a child whose address space is capped at 1.5 GB: the first conv's
+        # 469 MiB output at 3200x2400 does not fit beside the padded input
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+        package_root = os.path.dirname(os.path.dirname(poolnet.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-m", "poolnet", "bench", "--size", "3200x2400",
+                               "--iters", "1", "--warmup", "0"],
+                              env=env, preexec_fn=cap_address_space, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("data error: out of memory: Unable to allocate ")
+        assert done.stderr.count("\n") == 1
 
     def test_bad_thread_cap_is_two(self, monkeypatch, capsys):
         monkeypatch.setenv("POOLNET_THREADS", "-3")
@@ -605,6 +628,16 @@ class TestBench:
 
     def test_zero_iterations_rejected(self, capsys):
         assert main(["bench", "--iters", "0", *MICRO_MODEL]) == 2
+
+    @pytest.mark.parametrize("size", ["0x0", "0x32", "48x0"])
+    def test_empty_side_is_two(self, size, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--size", size, "--no-enable-ppm", *MICRO_MODEL])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --size: expected a size like 400x300, "
+                            f"both sides positive, got {size!r}\n")
+        assert "Traceback" not in err
 
 
 class TestSynth:

@@ -225,6 +225,14 @@ class TestInputValidation:
         with pytest.raises(ShapeError):
             model(Tensor(np.zeros((3, 64, 64), dtype=np.float32)))
 
+    @pytest.mark.parametrize("h, w", [(0, 0), (0, 64), (64, 0)])
+    def test_empty_side_raises(self, h, w):
+        # zero is a multiple of 16, and with pyramid pooling off no minimum
+        # applies; the conv bands would divide by the empty width
+        model = build_model(desk_config(enable_ppm=False), seed=0)
+        with pytest.raises(ShapeError, match="positive multiples of 16"):
+            model(Tensor(np.zeros((1, 3, h, w), dtype=np.float32)))
+
 
 class TestConstruction:
     def test_same_seed_builds_identical_weights(self):

@@ -20,7 +20,7 @@ from poolnet.model import build_model
 from poolnet.tensor import (
     UPSAMPLE_FACTORS,
     Tensor,
-    _VJP_BAND_BYTES,
+    _BAND_MIN_MACS,
     _band_edges,
     add,
     adaptive_avg_pool2d,
@@ -235,8 +235,8 @@ class TestConv2d:
     @pytest.fixture(scope="class")
     def banded_vjp_shapes(self):
         """Every (x shape, weight shape, dtype) of the default and edge
-        models at 304x400 in float32, at batch 1 and 2, whose patch matrix
-        is banded."""
+        models at 304x400 and the gate model at 64x64 in float32, at batch 1
+        and 2, whose VJP splits a GEMM: d_weight by kernel tap or d_x by band."""
         seen = []
 
         def recording_conv2d(x, weight, bias):
@@ -248,15 +248,18 @@ class TestConv2d:
         saved = poolnet.nn.conv2d
         poolnet.nn.conv2d = recording_conv2d
         try:
-            image = Tensor(np.random.default_rng(0).random((1, 3, 304, 400)), dtype=np.float32)
-            for config in (ModelConfig(), ModelConfig(enable_edge=True)):
+            for config, size in ((ModelConfig(), (304, 400)),
+                                 (ModelConfig(enable_edge=True), (304, 400)),
+                                 (ModelConfig(ppm_sizes=(2, 3)), (64, 64))):
+                image = Tensor(np.random.default_rng(0).random((1, 3) + size), dtype=np.float32)
                 with no_grad():
                     build_model(config, seed=0)(image)
         finally:
             poolnet.nn.conv2d = saved
         return [((n,) + x_shape, w_shape, "float32")
                 for n in (1, 2) for x_shape, w_shape in seen
-                if np.prod(w_shape[1:]) * n * x_shape[1] * x_shape[2] * 4 >= _VJP_BAND_BYTES]
+                if w_shape[0] * n * np.prod(x_shape) >= _BAND_MIN_MACS
+                or len(_band_edges(w_shape[0], np.prod(w_shape[1:]), *x_shape[1:], 4)) > 2]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_banded_vjp_matches_one_gemm_on_model_shapes(self, banded_vjp_shapes, threads):
@@ -270,21 +273,28 @@ class TestConv2d:
         done = subprocess.run([sys.executable, __file__], input=json.dumps(shapes),
                               env=env, capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr
-        assert len(banded_vjp_shapes) >= 15
-        assert ((1, 64, 76, 100), (64, 64, 3, 3), "float32") in banded_vjp_shapes
+        assert len(banded_vjp_shapes) >= 60
+        for x_shape, w_shape in (((1, 64, 76, 100), (64, 64, 3, 3)),
+                                 ((1, 16, 64, 64), (16, 16, 3, 3)),
+                                 ((1, 32, 32, 32), (32, 32, 3, 3))):
+            assert (x_shape, w_shape, "float32") in banded_vjp_shapes
         assert json.loads(done.stdout) == []
 
     def test_banded_vjp_holds_no_whole_patch_matrix(self):
         rng = np.random.default_rng(9)
         # the one-GEMM VJP built the patch matrix for d_weight, then a d_cols
         # as large: 70 MB each for 16->16 at 304x400, whose padded input and
-        # d_x are 7.9 MB each, and 17 MB each for 64->64 at 76x100 (2 MB)
-        for x_shape, bound_mib in (((1, 16, 304, 400), 20), ((1, 64, 76, 100), 10)):
+        # d_x are 7.9 MB each, and 17 MB each for 64->64 at 76x100 (2 MB);
+        # 3->16 at 304x400 and 32->64 at 76x100 split by the GEMM floor alone
+        for x_shape, out_c, bound_mib in (((1, 16, 304, 400), 16, 20),
+                                          ((1, 64, 76, 100), 64, 10),
+                                          ((1, 3, 304, 400), 16, 6),
+                                          ((1, 32, 76, 100), 64, 6)):
             c = x_shape[1]
             x = Tensor(rng.standard_normal(x_shape), requires_grad=True, dtype=np.float32)
-            weight = Tensor(rng.standard_normal((c, c, 3, 3)), requires_grad=True,
+            weight = Tensor(rng.standard_normal((out_c, c, 3, 3)), requires_grad=True,
                             dtype=np.float32)
-            out = conv2d(x, weight, Tensor(np.zeros(c), dtype=np.float32))
+            out = conv2d(x, weight, Tensor(np.zeros(out_c), dtype=np.float32))
             g = rng.standard_normal(out.shape).astype(np.float32)
             tracemalloc.start()
             try:
