@@ -3,13 +3,12 @@
 Configuration comes from an optional ``key = value`` file plus flags; flags
 win.  Exit codes: 0 success, 2 configuration error, 3 data error (a file
 that is missing, malformed or cannot be read or written, or an input too
-large for memory), 4 numeric failure.
+large for memory), 4 numeric failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
@@ -18,8 +17,8 @@ import numpy as np
 
 from .config import (CONFIG_FIELDS, RunConfig, _parse_bool, ablation_configs, build_run_config,
                      read_config_file, thread_cap)
-from .data import (atomic_open, load_manifest, load_map, map_names, padded_size,
-                   synth_edge_dataset, synth_saliency_dataset)
+from .data import (load_manifest, load_map, map_names, padded_size, synth_edge_dataset,
+                   synth_saliency_dataset, write_csv)
 from .errors import CheckpointError, ConfigError, DataError, NumericError, ShapeError
 from .inference import predict_manifest, run_inference
 from .metrics import evaluate_pairs, write_metrics_csv
@@ -29,8 +28,8 @@ from .train import train_model
 
 
 def _parse_wxh(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2 or not all(p.strip().isdigit() and int(p) > 0 for p in parts):
+    parts = [p.strip() for p in text.lower().split("x")]
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() and int(p) > 0 for p in parts):
         raise ConfigError(f"expected a size like 400x300, both sides positive, got {text!r}")
     return int(parts[0]), int(parts[1])
 
@@ -229,19 +228,14 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         train_model(model, run.train, manifest)
         predictions = predict_manifest(model, manifest)
         record = evaluate_pairs(list(zip(predictions, ground_truths)))
-        rows.append((row_number, model_config.enable_ppm, model_config.enable_ggf,
-                     model_config.enable_fam, record.max_f, record.mae))
+        rows.append([row_number, int(model_config.enable_ppm), int(model_config.enable_ggf),
+                     int(model_config.enable_fam), f"{record.max_f:.6f}", f"{record.mae:.6f}"])
         print(f"row {row_number}: ppm={model_config.enable_ppm} "
               f"ggf={model_config.enable_ggf} fam={model_config.enable_fam} "
               f"max_f={record.max_f:.4f} mae={record.mae:.4f}")
     run.output_dir.mkdir(parents=True, exist_ok=True)
     table = run.output_dir / "ablation.csv"
-    with atomic_open(table, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "ppm", "ggf", "fam", "max_f", "mae"])
-        for row_number, ppm, ggf, fam, best_f, err in rows:
-            writer.writerow([row_number, int(ppm), int(ggf), int(fam),
-                             f"{best_f:.6f}", f"{err:.6f}"])
+    write_csv(table, [["row", "ppm", "ggf", "fam", "max_f", "mae"], *rows])
     print(f"wrote {table}")
     return 0
 
@@ -300,3 +294,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        # every file a run writes is atomic, so what it left is complete
+        print("interrupted", file=sys.stderr)
+        return 130

@@ -11,6 +11,7 @@ is always the same arrays, no matter how many samples are drawn around it.
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -52,6 +53,12 @@ def atomic_open(path, mode: str, **kwargs) -> Iterator:
         if isinstance(exc, OSError) and exc.filename == str(tmp):
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
+
+
+def write_csv(path, rows) -> None:
+    """Write ``rows``, each a list of cells, as a CSV file through ``atomic_open``."""
+    with atomic_open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +155,18 @@ def load_map(path) -> np.ndarray:
     return _parse_map(path).astype(np.float64) / 255.0
 
 
-def _quantize(values: np.ndarray, path) -> np.ndarray:
+def _save_pnm(values: np.ndarray, path) -> None:
+    """Write (H, W) values in [0, 1] as an 8-bit binary PGM (P5), or
+    (H, W, 3) values as a PPM (P6)."""
     if not np.isfinite(values).all():
         raise NumericError(f"cannot save {path}: values are not finite")
     if values.min() < 0 or values.max() > 1:
         raise DataError(f"cannot save {path}: values outside [0, 1]")
-    return np.rint(values * 255.0).astype(np.uint8)
+    pixels = np.rint(values * 255.0).astype(np.uint8)
+    h, w = values.shape[:2]
+    with atomic_open(path, "wb") as fh:
+        fh.write(f"{'P5' if values.ndim == 2 else 'P6'}\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(pixels.tobytes())
 
 
 def save_map(values, path) -> None:
@@ -161,11 +174,7 @@ def save_map(values, path) -> None:
     values = np.asarray(values)
     if values.ndim != 2:
         raise DataError(f"cannot save {path}: map must be 2-D, got shape {values.shape}")
-    h, w = values.shape
-    pixels = _quantize(values, path)
-    with atomic_open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    _save_pnm(values, path)
 
 
 def save_image(values, path) -> None:
@@ -173,11 +182,7 @@ def save_image(values, path) -> None:
     values = np.asarray(values)
     if values.ndim != 3 or values.shape[0] != 3:
         raise DataError(f"cannot save {path}: image must be (3, H, W), got shape {values.shape}")
-    _, h, w = values.shape
-    pixels = _quantize(values.transpose(1, 2, 0), path)
-    with atomic_open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    _save_pnm(values.transpose(1, 2, 0), path)
 
 
 # ---------------------------------------------------------------------------

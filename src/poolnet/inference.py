@@ -9,6 +9,7 @@ import numpy as np
 
 from .data import (Manifest, Sample, crop_to_original, load_entry, map_names, pad_to_multiple,
                    save_map)
+from .errors import NumericError
 from .model import SaliencyNet, check_manifest_sizes
 from .tensor import Tensor, no_grad, sigmoid
 
@@ -31,10 +32,13 @@ def predict_sample(model: SaliencyNet,
 
 
 def predict_manifest(model: SaliencyNet, manifest: Manifest) -> list[np.ndarray]:
-    """Saliency maps for every manifest entry, in manifest order."""
+    """Saliency maps for every manifest entry, in manifest order; a map
+    with a non-finite value raises ``NumericError`` naming its image."""
     maps = []
-    for i in range(len(manifest)):
+    for i, (image_path, _) in enumerate(manifest.entries):
         saliency, _ = predict_sample(model, load_entry(manifest, i))
+        if not np.isfinite(saliency).all():
+            raise NumericError(f"non-finite saliency map for {image_path}")
         maps.append(saliency)
     return maps
 

@@ -1,9 +1,9 @@
 """Binary cross-entropy losses on logits, with closed-form gradients.
 
-Both losses are fused graph primitives: the forward uses the numerically
-stable form max(x, 0) - x*t + log(1 + exp(-|x|)) and the backward is the
-closed-form (sigmoid(x) - t) scaled per pixel, so no intermediate sigmoid
-output appears in the lineage.
+Both losses are one fused graph primitive, ``_bce``: the forward uses the
+numerically stable form max(x, 0) - x*t + log(1 + exp(-|x|)) and the
+backward is the closed-form (sigmoid(x) - t) scaled per pixel, so no
+intermediate sigmoid output appears in the lineage.
 """
 
 from __future__ import annotations
@@ -26,22 +26,28 @@ def _as_target(targets, logits: Tensor) -> np.ndarray:
     return data
 
 
-def _stable_bce_terms(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0) - x * t + np.log1p(np.exp(-np.abs(x)))
+def _bce(logits: Tensor, t: np.ndarray, weights: np.ndarray | None) -> Tensor:
+    """The mean over pixels of the stable terms, each scaled by its weight
+    unless ``weights`` is None; both losses are this one op."""
+    x = logits.data
+    count = x.size
+    terms = np.maximum(x, 0) - x * t + np.log1p(np.exp(-np.abs(x)))
+    if weights is not None:
+        terms = weights * terms
+    out = np.asarray(terms.sum() / count, dtype=x.dtype).reshape(1, 1, 1, 1)
+
+    def vjp(g: np.ndarray):
+        d = _sigmoid_stable(x) - t
+        if weights is not None:
+            d = weights * d
+        return (d * (g.reshape(()) / count),)
+
+    return _op_output(out, (logits,), vjp)
 
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:
     """Mean binary cross-entropy between logits and targets in [0, 1]."""
-    t = _as_target(targets, logits)
-    x = logits.data
-    count = x.size
-    out = np.asarray(_stable_bce_terms(x, t).sum() / count,
-                     dtype=x.dtype).reshape(1, 1, 1, 1)
-
-    def vjp(g: np.ndarray):
-        return ((_sigmoid_stable(x) - t) * (g.reshape(()) / count),)
-
-    return _op_output(out, (logits,), vjp)
+    return _bce(logits, _as_target(targets, logits), None)
 
 
 def balanced_bce_with_logits(logits: Tensor, targets) -> Tensor:
@@ -53,17 +59,10 @@ def balanced_bce_with_logits(logits: Tensor, targets) -> Tensor:
     absent the weights degenerate, so the unweighted loss is used instead.
     """
     t = _as_target(targets, logits)
-    x = logits.data
-    count = x.size
+    count = t.size
     positive = t > 0.5
     n_pos = int(positive.sum())
     if n_pos == 0 or n_pos == count:
-        return bce_with_logits(logits, targets)
-    weights = np.where(positive, (count - n_pos) / count, n_pos / count).astype(x.dtype)
-    out = np.asarray((weights * _stable_bce_terms(x, t)).sum() / count,
-                     dtype=x.dtype).reshape(1, 1, 1, 1)
-
-    def vjp(g: np.ndarray):
-        return (weights * (_sigmoid_stable(x) - t) * (g.reshape(()) / count),)
-
-    return _op_output(out, (logits,), vjp)
+        return _bce(logits, t, None)
+    weights = np.where(positive, (count - n_pos) / count, n_pos / count).astype(logits.dtype)
+    return _bce(logits, t, weights)

@@ -10,12 +10,11 @@ in ``PRCurve.empty_gt_count``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_open
+from .data import write_csv
 from .errors import ShapeError
 
 BETA2 = 0.3
@@ -134,12 +133,9 @@ def evaluate_pairs(pairs) -> MetricsRecord:
 
 def write_metrics_csv(record: MetricsRecord, path) -> None:
     """One summary row, then one row per threshold."""
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["max_f", "mae", "empty_gt_count"])
-        writer.writerow([f"{record.max_f:.6f}", f"{record.mae:.6f}",
-                         record.pr_curve.empty_gt_count])
-        writer.writerow(["threshold", "precision", "recall"])
-        for t, p, r in zip(record.pr_curve.thresholds, record.pr_curve.precision,
-                           record.pr_curve.recall):
-            writer.writerow([f"{t:.6f}", f"{p:.6f}", f"{r:.6f}"])
+    curve = record.pr_curve
+    write_csv(path, [["max_f", "mae", "empty_gt_count"],
+                     [f"{record.max_f:.6f}", f"{record.mae:.6f}", curve.empty_gt_count],
+                     ["threshold", "precision", "recall"],
+                     *([f"{t:.6f}", f"{p:.6f}", f"{r:.6f}"]
+                       for t, p, r in zip(curve.thresholds, curve.precision, curve.recall))])

@@ -54,10 +54,11 @@ class ModelOutput:
 
 
 class ConvReLU(Module):
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator):
+    """A 3x3 conv + relu."""
+
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
         super().__init__()
-        self.conv = Conv2d(in_channels, out_channels, kernel_size, rng)
+        self.conv = Conv2d(in_channels, out_channels, 3, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return relu(self.conv(x))
@@ -68,8 +69,8 @@ class BackboneStage(Module):
 
     def __init__(self, in_channels: int, width: int, rng: np.random.Generator):
         super().__init__()
-        self.conv1 = ConvReLU(in_channels, width, 3, rng)
-        self.conv2 = ConvReLU(width, width, 3, rng)
+        self.conv1 = ConvReLU(in_channels, width, rng)
+        self.conv2 = ConvReLU(width, width, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.conv2(self.conv1(x))
@@ -89,10 +90,10 @@ class Backbone(Module):
 
     def forward(self, x: Tensor) -> PyramidFeatures:
         h = self.stages[0](x)
-        c2 = self.stages[1](max_pool2d(h, 2))
-        c3 = self.stages[2](max_pool2d(c2, 2))
-        c4 = self.stages[3](max_pool2d(c3, 2))
-        c5 = self.stages[4](max_pool2d(c4, 2))
+        c2 = self.stages[1](max_pool2d(h))
+        c3 = self.stages[2](max_pool2d(c2))
+        c4 = self.stages[3](max_pool2d(c3))
+        c5 = self.stages[4](max_pool2d(c4))
         return PyramidFeatures(c2, c3, c4, c5)
 
 
@@ -194,15 +195,15 @@ class EdgeBranch(Module):
         fused = t * len(level_channels)
         self.refine = ModuleList([Conv2d(fused, fused, 3, rng) for _ in range(3)])
 
-    def forward(self, features: list[Tensor],
-                strides: tuple[int, ...]) -> tuple[Tensor, tuple[Tensor, ...]]:
+    def forward(self, features: list[Tensor]) -> tuple[Tensor, tuple[Tensor, ...]]:
+        """``features`` are fusion levels 2, 3 and 4, at strides 2, 4 and 8."""
         transitions = []
         sides = []
         for feat, stride, block, trans, head in zip(
-                features, strides, self.blocks, self.transitions, self.side_heads):
+                features, (2, 4, 8), self.blocks, self.transitions, self.side_heads):
             t = relu(trans(block(feat)))
             sides.append(upsample_bilinear(head(t), stride))
-            transitions.append(upsample_bilinear(t, stride // strides[0]))
+            transitions.append(upsample_bilinear(t, stride // 2))
         fused = concat_channels(transitions)
         for conv in self.refine:
             fused = relu(conv(fused))
@@ -249,7 +250,7 @@ class SaliencyNet(Module):
     def _merge_module(channels: int, config: ModelConfig, rng) -> Module:
         if config.enable_fam:
             return FeatureAggregation(channels, config.fam_rates, rng)
-        return ConvReLU(channels, channels, 3, rng)
+        return ConvReLU(channels, channels, rng)
 
     def forward(self, x: Tensor) -> ModelOutput:
         if x.data.ndim != 4 or x.shape[1] != 3:
@@ -277,7 +278,7 @@ class SaliencyNet(Module):
             add(self.lateral2(feats.c2), upsample_bilinear(self.topdown2(out3), 2)), 3))
 
         if self.config.enable_edge:
-            edge_feats, edge_sides = self.edge([out2, out3, out4], (2, 4, 8))
+            edge_feats, edge_sides = self.edge([out2, out3, out4])
             head_in = concat_channels([out2, edge_feats])
         else:
             edge_sides = None

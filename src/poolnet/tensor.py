@@ -41,9 +41,10 @@ forward's zero border (``_pad``) rather than keep a padded copy, and drops
 it before d_x's buffer exists.  The 16->16 conv's VJP at 304x400 peaks at
 16 MB instead of 74.
 
-``max_pool2d`` walks the rate x rate strided taps in row-major order under
-``np.argmax``'s first-maximum, first-NaN rule and copies values as bit
-patterns, so -0.0 and NaN payloads come out as argmax picks them.  The three
+``max_pool2d`` is the backbone's 2 x 2 pool.  It walks each block's four
+strided taps in row-major order under ``np.argmax``'s first-maximum,
+first-NaN rule and copies values as bit patterns, so -0.0 and NaN payloads
+come out as argmax picks them.  The three
 average pools share one separable primitive, y = A_h x A_w^T with a dense
 averaging matrix per axis, and its one VJP.  Bilinear resize keeps the exact
 lerp form (``np.take`` gathers) in the forward; its VJP scatters each axis in
@@ -389,25 +390,21 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return adaptive_avg_pool2d(x, 1, 1)
 
 
-def max_pool2d(x: Tensor, rate: int = 2) -> Tensor:
-    """Max over rate x rate blocks; gradient goes to the first max in row-major order."""
+def max_pool2d(x: Tensor) -> Tensor:
+    """Max over 2 x 2 blocks; gradient goes to the first max in row-major order."""
     _check_rank4(x, "max_pool2d input")
-    if rate < 1:
-        raise ShapeError(f"max_pool2d: rate must be >= 1, got {rate}")
     _, _, h, w = x.shape
-    if h % rate or w % rate:
-        raise ShapeError(f"max_pool2d: rate {rate} does not divide spatial size {h}x{w}")
-    if rate == 1:
-        return x
+    if h % 2 or w % 2:
+        raise ShapeError(f"max_pool2d: 2 does not divide spatial size {h}x{w}")
     shape, dtype = x.shape, x.dtype
-    taps = [(slice(None), slice(None), slice(i, None, rate), slice(j, None, rate))
-            for i in range(rate) for j in range(rate)]
+    taps = [(slice(None), slice(None), slice(i, None, 2), slice(j, None, 2))
+            for i in (0, 1) for j in (0, 1)]
     # Values move as unsigned bit patterns, so a select is a wrapping
     # multiply-add that copies every bit (-0.0, NaN payloads) unchanged.
     uint = np.dtype(f"u{x.data.itemsize}")
     out = x.data[taps[0]].copy()
     bits = out.view(uint)
-    arg = np.zeros(out.shape, dtype=np.min_scalar_type(rate * rate - 1))
+    arg = np.zeros(out.shape, dtype=np.uint8)
     for t, tap in enumerate(taps[1:], start=1):
         v = x.data[tap]
         # np.argmax's rule in row-major tap order: a later tap wins when it is

@@ -18,7 +18,6 @@ batch's entries must share one padded size.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -27,7 +26,7 @@ import numpy as np
 
 from .checkpoint import read_ints
 from .config import ModelConfig, TrainConfig
-from .data import Manifest, atomic_open, load_entry, pad_to_multiple
+from .data import Manifest, load_entry, pad_to_multiple, write_csv
 from .errors import ConfigError, DataError, NumericError
 from .losses import balanced_bce_with_logits, bce_with_logits
 from .model import SaliencyNet, check_manifest_sizes, save_model_with_config
@@ -180,7 +179,10 @@ def train_model(model: SaliencyNet, config: TrainConfig, saliency_data: Manifest
         final = output_dir / "final.ckpt"
         _save(final, model, optimizer, epoch)
         checkpoints.append(final)
-        write_train_log(output_dir / "train_log.csv", records)
+        write_csv(output_dir / "train_log.csv",
+                  [["epoch", "step", "loss_type", "loss_value", "lr"],
+                   *([r.epoch, r.step, r.loss_type, f"{r.loss_value:.8f}", f"{r.lr:.8g}"]
+                     for r in records)])
     return TrainResult(model=model, steps=records, checkpoints=checkpoints)
 
 
@@ -207,11 +209,3 @@ def _save(path: Path, model: SaliencyNet, optimizer: Adam, epoch: int) -> None:
     state = optimizer.state_dict()
     state["progress/epoch"] = np.asarray([epoch], dtype=np.float32)
     save_model_with_config(path, model, state)
-
-
-def write_train_log(path, records) -> None:
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "step", "loss_type", "loss_value", "lr"])
-        for r in records:
-            writer.writerow([r.epoch, r.step, r.loss_type, f"{r.loss_value:.8f}", f"{r.lr:.8g}"])

@@ -71,7 +71,7 @@ def test_criterion_1_gradient_suite(gradcheck, scalarize, capsys):
            "b": leaf(rng, (3,))}, coords_per_leaf=24)
     check(lambda lv: avg_pool2d(lv["x"], 2), {"x": leaf(rng, (1, 3, 4, 4))},
           coords_per_leaf=24)
-    check(lambda lv: max_pool2d(lv["x"], 2), {"x": distinct_leaf(rng, (1, 2, 4, 4))},
+    check(lambda lv: max_pool2d(lv["x"]), {"x": distinct_leaf(rng, (1, 2, 4, 4))},
           coords_per_leaf=24)
     check(lambda lv: adaptive_avg_pool2d(lv["x"], 3, 3),
           {"x": leaf(rng, (1, 2, 5, 5))}, coords_per_leaf=24)

@@ -411,6 +411,29 @@ class TestExitCodes:
             main(["train", "--learning-rate", "0.1"])
         assert info.value.code == 2
 
+    def test_non_finite_ablation_predictions_are_four(self, tmp_path, capsys):
+        # one image, so the one step that makes the weights infinite is the last
+        assert main(["synth", "--kind", "saliency", "--count", "1", "--size", "32",
+                     "--output-dir", str(tmp_path / "data")]) == 0
+        capsys.readouterr()
+        argv = ["ablate", "--saliency-manifest", str(tmp_path / "data" / "manifest.tsv"),
+                "--output-dir", str(tmp_path / "out"), *MICRO_MODEL, *QUICK_TRAIN,
+                "--lr", "1e30"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err == ("numeric error: non-finite saliency map for "
+                       f"{tmp_path / 'data' / 'img_0000.ppm'}\n")
+        assert not (tmp_path / "out" / "ablation.csv").exists()
+
+    def test_interrupt_is_130(self, tmp_path, sal_dir, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("poolnet.cli.train_model", interrupted)
+        argv = ["train", "--saliency-manifest", str(sal_dir / "manifest.tsv"),
+                "--output-dir", str(tmp_path), *MICRO_MODEL, *QUICK_TRAIN]
+        assert main(argv) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+
 
 class TestSettingsTable:
     def test_one_row_per_setting_and_one_flag_per_row(self):
@@ -638,6 +661,15 @@ class TestBench:
         assert err.endswith("error: argument --size: expected a size like 400x300, "
                             f"both sides positive, got {size!r}\n")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("size", ["\u00b2x3", "\u0663x3"])
+    def test_non_ascii_digit_is_two(self, size, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--size", size, "--no-enable-ppm", *MICRO_MODEL])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --size: expected a size like 400x300, "
+            f"both sides positive, got {size!r}\n")
 
 
 class TestSynth:

@@ -12,6 +12,13 @@ the package has a caller too, unless its function or class is public (in
 ``poolnet.__all__``): some call in the package or the harness spelling the
 function's, method's or class's name passes it by keyword, by position, or
 through ``*`` or ``**``.  A default that no call overrides is a constant.
+
+No parameter of such a function, method or class takes the same literal
+from every call: where each call in the package or the harness spelling its
+name binds it, by position, by keyword or by omission to a literal default,
+to one value that ``ast.literal_eval`` reads, that value is a constant too.
+Calls are matched by spelling alone, so a call that names the function
+another way is not seen: ``self.edge(...)`` runs ``EdgeBranch.forward``.
 """
 
 import ast
@@ -93,12 +100,14 @@ def public_names(init: ast.Module) -> set[str]:
     return set()
 
 
-def settings(tree: ast.Module) -> list[tuple[str, str, list[str], list[str]]]:
-    """(owner, callee, positional, defaulted) of each function, method and
-    class ``__init__`` in ``tree`` with a defaulted parameter.  ``owner`` is
-    the function, or the class holding the method; ``callee`` is the name a
-    call spells (the class, for ``__init__``); ``positional`` lists the
-    parameters a call's positions bind, in order."""
+def signatures(tree: ast.Module) -> list[tuple[str, str, list[str], list[str],
+                                                  dict[str, ast.expr]]]:
+    """(owner, callee, positional, keyword_only, defaults) of each function,
+    method and class ``__init__`` in ``tree``.  ``owner`` is the function, or
+    the class holding the method; ``callee`` is the name a call spells (the
+    class, for ``__init__``); ``positional`` lists the parameters a call's
+    positions bind, in order; ``defaults`` maps each defaulted parameter to
+    its default."""
     found = []
 
     def visit(node: ast.AST, cls: str | None) -> None:
@@ -111,31 +120,40 @@ def settings(tree: ast.Module) -> list[tuple[str, str, list[str], list[str]]]:
                 continue
             a = child.args
             names = [p.arg for p in a.posonlyargs + a.args]
-            defaulted = names[len(names) - len(a.defaults):] if a.defaults else []
-            defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            defaults = dict(zip(names[len(names) - len(a.defaults):], a.defaults))
+            defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                            if d is not None)
             bound = cls is not None and not any(
                 isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
-            if defaulted:
-                callee = cls if bound and child.name == "__init__" else child.name
-                found.append((cls or child.name, callee, names[bound:], defaulted))
+            callee = cls if bound and child.name == "__init__" else child.name
+            found.append((cls or child.name, callee, names[bound:],
+                          [p.arg for p in a.kwonlyargs], defaults))
             visit(child, None)
 
     visit(tree, None)
     return found
 
 
+def settings(tree: ast.Module) -> list[tuple[str, str, list[str], list[str]]]:
+    """(owner, callee, positional, defaulted) of each function, method and
+    class ``__init__`` in ``tree`` with a defaulted parameter; see
+    ``signatures``."""
+    return [(owner, callee, positional, list(defaults))
+            for owner, callee, positional, _, defaults in signatures(tree) if defaults]
+
+
+def calls(tree: ast.Module, callee: str) -> list[ast.Call]:
+    """The calls in ``tree`` that spell ``callee``, as a name or an attribute."""
+    return [call for call in ast.walk(tree) if isinstance(call, ast.Call) and callee == (
+        call.func.id if isinstance(call.func, ast.Name) else
+        call.func.attr if isinstance(call.func, ast.Attribute) else None)]
+
+
 def passed(tree: ast.Module, callee: str, positional: list[str], defaulted: list[str]) -> set[str]:
     """Parameters that some call in ``tree`` spelling ``callee`` passes by
     keyword, by position, or through ``*`` or ``**``."""
     given = set()
-    for call in ast.walk(tree):
-        if not isinstance(call, ast.Call):
-            continue
-        func = call.func
-        name = func.id if isinstance(func, ast.Name) else \
-            func.attr if isinstance(func, ast.Attribute) else None
-        if name != callee:
-            continue
+    for call in calls(tree, callee):
         if any(isinstance(arg, ast.Starred) for arg in call.args):
             given |= set(positional)
         given |= set(positional[:len(call.args)])
@@ -177,3 +195,58 @@ def test_every_defaulted_parameter_is_passed():
     package = {p.name: parse(p) for p in MODULES}
     callers = list(package.values()) + [parse(p) for p in HARNESS]
     assert unset(package, callers, public_names(package["__init__.py"])) == []
+
+
+def literal(call: ast.Call, parameter: str, positional: list[str],
+            defaults: dict[str, ast.expr]) -> str | None:
+    """``repr`` of the literal ``call`` binds ``parameter`` to, or None when
+    the value is not a literal or a ``*`` or ``**`` argument hides it."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or \
+            any(kw.arg is None for kw in call.keywords):
+        return None
+    given = dict(zip(positional, call.args))
+    given.update((kw.arg, kw.value) for kw in call.keywords)
+    node = given.get(parameter, defaults.get(parameter))
+    try:
+        return None if node is None else repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def fixed(package: dict[str, ast.Module], callers: list[ast.Module],
+          public: set[str]) -> list[str]:
+    """``owner(parameter)``, or ``owner.method(parameter)``, of each
+    parameter in ``package`` whose owner ``public`` lacks and that every
+    call in ``callers`` spelling its callee, of which there is at least one,
+    binds to the same literal."""
+    found = []
+    for tree in package.values():
+        for owner, callee, positional, keyword_only, defaults in signatures(tree):
+            if owner in public:
+                continue
+            spelled = [call for t in callers for call in calls(t, callee)]
+            label = callee if callee == owner else f"{owner}.{callee}"
+            for p in positional + keyword_only:
+                values = {literal(call, p, positional, defaults) for call in spelled}
+                if spelled and len(values) == 1 and None not in values:
+                    found.append(f"{label}({p})")
+    return sorted(found)
+
+
+def test_a_parameter_every_call_fixes_is_found():
+    tree = ast.parse("def f(a, b, c=2, *, d, e=(1, 2)):\n    return a\n"
+                     "class Box:\n"
+                     "    def __init__(self, size, rng):\n        self.size = size\n"
+                     "    def grow(self, by):\n        pass\n"
+                     "def g(x, args, opts):\n"
+                     "    f(x, 3, d=x)\n    f(2, 3, 2, d='k')\n    f(3, b=3, c=2, d=x, e=(1, 2))\n"
+                     "    Box(4, x).grow(1)\n    Box(4, rng=x).grow(*args)\n"
+                     "    Box(size=4, rng=None).grow(**opts)\n")
+    assert fixed({"m": tree}, [tree], set()) == ["Box(size)", "f(b)", "f(c)", "f(e)"]
+    assert fixed({"m": tree}, [tree], {"f", "Box"}) == []
+
+
+def test_no_parameter_takes_one_literal_from_every_call():
+    package = {p.name: parse(p) for p in MODULES}
+    callers = list(package.values()) + [parse(p) for p in HARNESS]
+    assert fixed(package, callers, public_names(package["__init__.py"])) == []

@@ -89,7 +89,7 @@ class TestOpGradients:
     def test_max_pool(self, rng, gradcheck, scalarize):
         leaves = {"x": distinct_leaf(rng, (1, 2, 8, 8))}
         weights = rng.normal(size=(1, 2, 4, 4))
-        gradcheck(lambda lv: scalarize(max_pool2d(lv["x"], 2), weights), leaves, rng)
+        gradcheck(lambda lv: scalarize(max_pool2d(lv["x"]), weights), leaves, rng)
 
     def test_bilinear_upsample(self, rng, gradcheck, scalarize):
         leaves = {"x": leaf(rng, (1, 2, 3, 5))}

@@ -398,30 +398,25 @@ class TestMaxPool:
                    [3.0, 4.0, 1.0, 1.0],
                    [0.0, 0.0, 2.0, 2.0],
                    [9.0, 0.0, 2.0, 2.0]])
-        out = max_pool2d(x, 2)
+        out = max_pool2d(x)
         assert np.array_equal(out.data[0, 0], [[4.0, 5.0], [9.0, 2.0]])
 
     def test_tie_gradient_goes_to_first_row_major(self):
         x = t([[[[7.0, 7.0], [7.0, 7.0]]]], requires_grad=True)
-        backward(reduce_sum(max_pool2d(x, 2)))
+        backward(reduce_sum(max_pool2d(x)))
         assert np.array_equal(x.grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
-
-    def test_rate_one_is_identity(self):
-        x = image([[1.0]])
-        assert max_pool2d(x, 1) is x
 
     def test_indivisible_size_raises(self):
         with pytest.raises(ShapeError):
-            max_pool2d(t(np.zeros((1, 1, 6, 6))), 4)
+            max_pool2d(t(np.zeros((1, 1, 6, 5))))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", ["random", "integer-ties", "signed-zeros", "two-nans",
-                                      "nan-beside-inf", "rate-4", "rate-4-ties", "batch-2"])
+                                      "nan-beside-inf", "batch-2"])
     def test_matches_argmax_reference(self, max_pool_reference, case, dtype):
         rng = np.random.default_rng(len(case))
-        rate = 4 if case.startswith("rate-4") else 2
         shape = (2, 3, 8, 12) if case == "batch-2" else (1, 3, 8, 12)
-        if case in ("random", "rate-4"):
+        if case == "random":
             data = rng.standard_normal(shape)
         elif case == "signed-zeros":
             data = rng.choice([-0.0, 0.0, -1.0], size=shape)
@@ -438,9 +433,9 @@ class TestMaxPool:
             data[0, 0, 0, :4] = [np.inf, np.nan, np.nan, np.inf]
             data[0, 0, 1, :4] = [np.inf, -np.inf, -np.inf, np.inf]
         x = Tensor(data, requires_grad=True, dtype=dtype)
-        out = max_pool2d(x, rate)
+        out = max_pool2d(x)
         g = rng.standard_normal(out.shape).astype(dtype)
-        want_out, want_dx = max_pool_reference(data, rate, g)
+        want_out, want_dx = max_pool_reference(data, 2, g)
         assert out.data.tobytes() == want_out.tobytes()
         assert out._vjp(g)[0].tobytes() == want_dx.tobytes()
 
