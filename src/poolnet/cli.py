@@ -208,7 +208,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         pred_path = args.pred_dir / name
         if not pred_path.is_file():
             raise DataError(f"missing prediction for {image_path.name}: {pred_path}")
-        pairs.append((load_map(pred_path), load_map(gt_path)))
+        pred, gt = load_map(pred_path), load_map(gt_path)
+        if pred.shape != gt.shape:
+            raise DataError(f"{pred_path}: prediction size {pred.shape[0]}x{pred.shape[1]} "
+                            f"differs from ground truth size {gt.shape[0]}x{gt.shape[1]}")
+        pairs.append((pred, gt))
     record = evaluate_pairs(pairs)
     write_metrics_csv(record, args.out)
     print(f"max_f {record.max_f:.6f}")
@@ -222,6 +226,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     _require(run.output_dir, "an output directory")
     manifest = load_manifest(run.saliency_manifest, "saliency")
     ground_truths = [load_map(gt) for _, gt in manifest.entries]
+    # an unwritable output directory fails here, not after six trainings
+    run.output_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for row_number, model_config in ablation_configs(run.model):
         model = build_model(model_config, seed=run.train.seed)
@@ -233,7 +239,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         print(f"row {row_number}: ppm={model_config.enable_ppm} "
               f"ggf={model_config.enable_ggf} fam={model_config.enable_fam} "
               f"max_f={record.max_f:.4f} mae={record.mae:.4f}")
-    run.output_dir.mkdir(parents=True, exist_ok=True)
     table = run.output_dir / "ablation.csv"
     write_csv(table, [["row", "ppm", "ggf", "fam", "max_f", "mae"], *rows])
     print(f"wrote {table}")

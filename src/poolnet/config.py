@@ -22,7 +22,7 @@ from .errors import ConfigError
 
 DESK_WIDTHS = (16, 32, 64, 128, 128)
 # the integer factors bilinear upsampling supports; a FAM rate must be one
-UPSAMPLE_FACTORS = (1, 2, 4, 8, 16)
+UPSAMPLE_FACTORS = (2, 4, 8, 16)
 
 
 @dataclass
@@ -57,8 +57,8 @@ class ModelConfig:
             raise ConfigError(f"pyramid_channels must be positive, got {self.pyramid_channels}")
         if not self.fam_rates:
             raise ConfigError("fam_rates must not be empty")
-        if not set(self.fam_rates) <= set(UPSAMPLE_FACTORS[1:]):
-            raise ConfigError(f"fam_rates must each be one of {UPSAMPLE_FACTORS[1:]}, "
+        if not set(self.fam_rates) <= set(UPSAMPLE_FACTORS):
+            raise ConfigError(f"fam_rates must each be one of {UPSAMPLE_FACTORS}, "
                               f"got {self.fam_rates}")
         if list(self.fam_rates) != sorted(set(self.fam_rates)):
             raise ConfigError(f"fam_rates must be strictly ascending, got {self.fam_rates}")
@@ -216,7 +216,7 @@ def read_config_file(path) -> dict[str, object]:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config file is not valid UTF-8 text") from exc
     values: dict[str, object] = {}

@@ -243,7 +243,7 @@ def load_manifest(path, kind: str) -> Manifest:
         raise DataError(f"manifest not found: {path}")
     root = path.parent
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: manifest is not valid UTF-8 text") from exc
     entries = []

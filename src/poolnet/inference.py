@@ -46,15 +46,20 @@ def predict_manifest(model: SaliencyNet, manifest: Manifest) -> list[np.ndarray]
 def run_inference(model: SaliencyNet, manifest: Manifest, output_dir) -> list[Path]:
     """Write one 8-bit saliency map per entry (named after the image stem),
     plus ``<stem>_edge.pgm`` when the edge branch is active.  Every image's
-    size and map names are checked before the first map is written."""
-    check_manifest_sizes(model.config, manifest)
+    size and map names are checked before the first map is written; running
+    out of memory raises ``MemoryError`` naming the image that did."""
+    sizes = check_manifest_sizes(model.config, manifest)
     names = map_names(manifest, model.config.enable_edge)
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for i, entry_names in enumerate(names):
-        maps = predict_sample(model, load_entry(manifest, i))
-        for values, name in zip(maps, entry_names):
-            save_map(values, output_dir / name)
-            written.append(output_dir / name)
+    for i, (entry_names, (h, w)) in enumerate(zip(names, sizes)):
+        try:
+            maps = predict_sample(model, load_entry(manifest, i))
+            for values, name in zip(maps, entry_names):
+                save_map(values, output_dir / name)
+                written.append(output_dir / name)
+        except MemoryError as exc:
+            raise MemoryError(f"{manifest.entries[i][0]}: padded input size {h}x{w}; "
+                              f"maps written before it: {len(written)}; {exc}") from exc
     return written

@@ -14,6 +14,8 @@ An optional edge branch taps the three shallow fusion levels, supervises
 boundary maps, and widens the saliency head with its features.  All outputs
 are logits at the input resolution; inputs must be RGB, each side a positive
 multiple of 16 and, with pyramid pooling on, at least 16 * max(ppm_sizes).
+The backbone's 2x2 max pools alone set the level strides: every resize
+outside the aggregation modules takes its size from the map it joins.
 """
 
 from __future__ import annotations
@@ -33,16 +35,6 @@ from .tensor import (Tensor, add, adaptive_avg_pool2d, avg_pool2d, concat_channe
                      resize_bilinear, upsample_bilinear)
 
 EDGE_TRANSITION_CHANNELS = 16
-
-
-@dataclass
-class PyramidFeatures:
-    """Backbone taps c2..c5 at strides 2, 4, 8, 16."""
-
-    c2: Tensor
-    c3: Tensor
-    c4: Tensor
-    c5: Tensor
 
 
 @dataclass
@@ -88,13 +80,11 @@ class Backbone(Module):
             in_channels = width
         self.stages = ModuleList(stages)
 
-    def forward(self, x: Tensor) -> PyramidFeatures:
-        h = self.stages[0](x)
-        c2 = self.stages[1](max_pool2d(h))
-        c3 = self.stages[2](max_pool2d(c2))
-        c4 = self.stages[3](max_pool2d(c3))
-        c5 = self.stages[4](max_pool2d(c4))
-        return PyramidFeatures(c2, c3, c4, c5)
+    def forward(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        taps = [self.stages[0](x)]
+        for stage in self.stages[1:]:
+            taps.append(stage(max_pool2d(taps[-1])))
+        return tuple(taps[1:])
 
 
 class PyramidPooling(Module):
@@ -128,16 +118,14 @@ class PyramidPooling(Module):
 
 
 class GuidanceFlow(Module):
-    """Project the deepest fused map and upsample it to one fusion level."""
+    """Project the deepest fused map and resize it onto one fusion level."""
 
-    def __init__(self, in_channels: int, out_channels: int, factor: int,
-                 rng: np.random.Generator):
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
         super().__init__()
-        self.factor = factor
         self.project = Conv2d(in_channels, out_channels, 1, rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return upsample_bilinear(self.project(x), self.factor)
+    def forward(self, x: Tensor, level: Tensor) -> Tensor:
+        return resize_bilinear(self.project(x), *level.shape[2:])
 
 
 class FeatureAggregation(Module):
@@ -181,8 +169,8 @@ class EdgeBranch(Module):
     """Boundary features from the three shallow fusion levels.
 
     Per level: a residual block at the level width, a 3x3 transition to 16
-    channels, and a 1x1 side head whose logits are upsampled to the input
-    resolution.  The 16-channel maps are aligned to the shallowest level and
+    channels, and a 1x1 side head whose logits are resized to the image.
+    The 16-channel maps are resized to the shallowest level and
     concatenated (48 channels), then refined by three 3x3 conv + relu layers.
     """
 
@@ -195,15 +183,15 @@ class EdgeBranch(Module):
         fused = t * len(level_channels)
         self.refine = ModuleList([Conv2d(fused, fused, 3, rng) for _ in range(3)])
 
-    def forward(self, features: list[Tensor]) -> tuple[Tensor, tuple[Tensor, ...]]:
-        """``features`` are fusion levels 2, 3 and 4, at strides 2, 4 and 8."""
+    def forward(self, features: list[Tensor], image: Tensor) -> tuple[Tensor, tuple[Tensor, ...]]:
+        """``features`` are fusion levels 2, 3 and 4; ``image`` is the input."""
         transitions = []
         sides = []
-        for feat, stride, block, trans, head in zip(
-                features, (2, 4, 8), self.blocks, self.transitions, self.side_heads):
+        for feat, block, trans, head in zip(
+                features, self.blocks, self.transitions, self.side_heads):
             t = relu(trans(block(feat)))
-            sides.append(upsample_bilinear(head(t), stride))
-            transitions.append(upsample_bilinear(t, stride // 2))
+            sides.append(resize_bilinear(head(t), *image.shape[2:]))
+            transitions.append(resize_bilinear(t, *features[0].shape[2:]))
         fused = concat_channels(transitions)
         for conv in self.refine:
             fused = relu(conv(fused))
@@ -226,10 +214,8 @@ class SaliencyNet(Module):
         else:
             self.lateral5 = Conv2d(widths[4], pyr[3], 1, rng)
         if config.enable_ggf:
-            # guidance targets levels 5, 4, 3, 2 at strides 16, 8, 4, 2
             self.guidance = ModuleList(
-                [GuidanceFlow(pyr[3], pyr[level - 2], 2 ** (5 - level), rng)
-                 for level in (5, 4, 3, 2)])
+                [GuidanceFlow(pyr[3], pyr[level - 2], rng) for level in (5, 4, 3, 2)])
         # fusion widths may differ per level, so each top-down hop carries a
         # 1x1 adapter from the deeper level's width
         self.lateral4 = Conv2d(widths[3], pyr[2], 1, rng)
@@ -257,33 +243,33 @@ class SaliencyNet(Module):
             raise ShapeError(f"model input must be (batch, 3, height, width), got {x.shape}")
         check_input_size(self.config, *x.shape[2:])
 
-        feats = self.backbone(x)
+        c2, c3, c4, c5 = self.backbone(x)
         if self.config.enable_ppm:
-            top = self.pyramid_pool(feats.c5)
+            top = self.pyramid_pool(c5)
         else:
-            top = self.lateral5(feats.c5)
+            top = self.lateral5(c5)
 
         def guided(merged: Tensor, index: int) -> Tensor:
             # guidance index 0..3 targets levels 5, 4, 3, 2
             if self.config.enable_ggf:
-                return add(merged, self.guidance[index](top))
+                return add(merged, self.guidance[index](top, merged))
             return merged
 
+        def topdown(lateral: Tensor, deeper: Tensor) -> Tensor:
+            return add(lateral, resize_bilinear(deeper, *lateral.shape[2:]))
+
         out5 = guided(top, 0)
-        out4 = self.merge4(guided(
-            add(self.lateral4(feats.c4), upsample_bilinear(self.topdown4(out5), 2)), 1))
-        out3 = self.merge3(guided(
-            add(self.lateral3(feats.c3), upsample_bilinear(self.topdown3(out4), 2)), 2))
-        out2 = self.merge2(guided(
-            add(self.lateral2(feats.c2), upsample_bilinear(self.topdown2(out3), 2)), 3))
+        out4 = self.merge4(guided(topdown(self.lateral4(c4), self.topdown4(out5)), 1))
+        out3 = self.merge3(guided(topdown(self.lateral3(c3), self.topdown3(out4)), 2))
+        out2 = self.merge2(guided(topdown(self.lateral2(c2), self.topdown2(out3)), 3))
 
         if self.config.enable_edge:
-            edge_feats, edge_sides = self.edge([out2, out3, out4])
+            edge_feats, edge_sides = self.edge([out2, out3, out4], x)
             head_in = concat_channels([out2, edge_feats])
         else:
             edge_sides = None
             head_in = out2
-        logits = upsample_bilinear(self.head(head_in), 2)
+        logits = resize_bilinear(self.head(head_in), *x.shape[2:])
         return ModelOutput(saliency=logits, edges=edge_sides)
 
 

@@ -529,11 +529,9 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 
 def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
-    """Upsample both spatial dims by an integer factor from {1, 2, 4, 8, 16}."""
+    """Upsample both spatial dims by an integer factor from {2, 4, 8, 16}."""
     if factor not in UPSAMPLE_FACTORS:
         raise ShapeError(f"upsample_bilinear: factor {factor} not in {UPSAMPLE_FACTORS}")
-    if factor == 1:
-        return x
     _check_rank4(x, "upsample_bilinear input")
     _, _, h, w = x.shape
     return resize_bilinear(x, h * factor, w * factor)

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 import poolnet
+import poolnet.cli as cli
 from poolnet.checkpoint import load_checkpoint, save_checkpoint
 from poolnet.cli import build_parser, main
 from poolnet.config import CONFIG_FIELDS, ModelConfig, RunConfig, TrainConfig
-from poolnet.data import load_manifest, load_map, write_manifest
+from poolnet.data import load_manifest, load_map, save_map, write_manifest
 from poolnet.model import SaliencyNet, build_model, model_from_checkpoint, save_model_with_config
 from poolnet.train import train_model
 
@@ -85,6 +86,49 @@ class TestExitCodes:
         assert done.stdout == ""
         assert done.stderr.startswith("data error: out of memory: Unable to allocate ")
         assert done.stderr.count("\n") == 1
+
+    def test_out_of_memory_in_infer_names_the_image(self, tmp_path):
+        # the same 1.5 GB cap: the 64x64 entry runs, the 3200x2400 one does not fit
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+        data = tmp_path / "data"
+        data.mkdir()
+        for name, (w, h) in (("small", (64, 64)), ("large", (3200, 2400))):
+            (data / f"{name}.ppm").write_bytes(b"P6\n%d %d\n255\n" % (w, h) + bytes(3 * w * h))
+            (data / f"{name}_gt.pgm").write_bytes(b"P5\n%d %d\n255\n" % (w, h) + bytes(w * h))
+        write_manifest(data / "manifest.tsv",
+                       [("small.ppm", "small_gt.pgm"), ("large.ppm", "large_gt.pgm")])
+        model = build_model(ModelConfig(ppm_sizes=(2, 3)), seed=0)
+        save_model_with_config(tmp_path / "model.ckpt", model)
+        package_root = os.path.dirname(os.path.dirname(poolnet.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-m", "poolnet", "infer",
+                               "--checkpoint", str(tmp_path / "model.ckpt"),
+                               "--manifest", str(data / "manifest.tsv"),
+                               "--output-dir", str(tmp_path / "out")],
+                              env=env, preexec_fn=cap_address_space, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"data error: out of memory: {data / 'large.ppm'}: ")
+        assert done.stderr.count("\n") == 1
+        assert (tmp_path / "out" / "small.pgm").is_file()
+
+    def test_eval_size_mismatch_names_the_prediction(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--kind", "saliency", "--count", "1", "--size", "64",
+                     "--output-dir", str(data)]) == 0
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        save_map(np.zeros((32, 32)), pred / "img_0000.pgm")
+        capsys.readouterr()
+        assert main(["eval", "--manifest", str(data / "manifest.tsv"),
+                     "--pred-dir", str(pred)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert str(pred / "img_0000.pgm") in err
 
     def test_bad_thread_cap_is_two(self, monkeypatch, capsys):
         monkeypatch.setenv("POOLNET_THREADS", "-3")
@@ -635,6 +679,17 @@ class TestAblate:
         for row in rows[1:]:
             assert 0.0 <= float(row[4]) <= 1.0
             assert 0.0 <= float(row[5]) <= 1.0
+
+    def test_unwritable_output_is_three_before_any_training(self, tmp_path, sal_dir,
+                                                             monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "train_model", lambda *args, **kwargs: calls.append(args))
+        (tmp_path / "notadir").write_text("")
+        argv = ["ablate", "--saliency-manifest", str(sal_dir / "manifest.tsv"),
+                "--output-dir", str(tmp_path / "notadir" / "sub"), *MICRO_MODEL, *QUICK_TRAIN]
+        assert main(argv) == 3
+        assert calls == []
+        assert capsys.readouterr().err.startswith("data error:")
 
 
 class TestBench:

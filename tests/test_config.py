@@ -154,6 +154,11 @@ backbone_widths = 4, 8, 8, 16, 16
         with pytest.raises(ConfigError):
             read_config_file(tmp_path / "absent.cfg")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfepochs = 1\n")
+        assert read_config_file(path) == {"epochs": 1}
+
 
 class TestBuildRunConfig:
     def test_defaults_when_empty(self):

@@ -262,6 +262,13 @@ class TestManifests:
         with pytest.raises(DataError, match="manifest.tsv.*UTF-8"):
             load_manifest(path, "saliency")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        save_image(np.zeros((3, 4, 4)), tmp_path / "a.ppm")
+        save_map(np.zeros((4, 4)), tmp_path / "a_gt.pgm")
+        (tmp_path / "manifest.tsv").write_bytes(b"\xef\xbb\xbfa.ppm\ta_gt.pgm\n")
+        manifest = load_manifest(tmp_path / "manifest.tsv", "saliency")
+        assert manifest.entries == [(tmp_path / "a.ppm", tmp_path / "a_gt.pgm")]
+
     def test_empty_manifest_raises(self, tmp_path):
         (tmp_path / "manifest.tsv").write_text("\n\n")
         with pytest.raises(DataError):

@@ -32,12 +32,12 @@ def rgb(batch=1, size=64, seed=0):
 class TestBackbone:
     def test_tap_shapes_and_strides(self):
         model = build_model(desk_config(), seed=0)
-        feats = model.backbone(rgb(size=64))
+        c2, c3, c4, c5 = model.backbone(rgb(size=64))
         widths = model.config.backbone_widths
-        assert feats.c2.shape == (1, widths[1], 32, 32)
-        assert feats.c3.shape == (1, widths[2], 16, 16)
-        assert feats.c4.shape == (1, widths[3], 8, 8)
-        assert feats.c5.shape == (1, widths[4], 4, 4)
+        assert c2.shape == (1, widths[1], 32, 32)
+        assert c3.shape == (1, widths[2], 16, 16)
+        assert c4.shape == (1, widths[3], 8, 8)
+        assert c5.shape == (1, widths[4], 4, 4)
 
 
 class TestSixConfigurations:
@@ -143,9 +143,22 @@ class TestFeatureAggregationBlock:
 
 
 class TestGuidanceFlows:
-    def test_upsample_factors_cover_all_levels(self):
+    def test_each_flow_takes_its_level_size(self, monkeypatch):
+        # levels 5, 4, 3, 2 of a 64x64 input sit at strides 16, 8, 4, 2
         model = build_model(desk_config(), seed=0)
-        assert [flow.factor for flow in model.guidance] == [1, 2, 4, 8]
+        forward = model_mod.GuidanceFlow.forward
+        shapes = []
+
+        def recording(flow, x, level):
+            out = forward(flow, x, level)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(model_mod.GuidanceFlow, "forward", recording)
+        model(rgb(size=64))
+        pyr = model.config.pyramid_channels
+        assert shapes == [(1, pyr[3], 4, 4), (1, pyr[2], 8, 8),
+                          (1, pyr[1], 16, 16), (1, pyr[0], 32, 32)]
 
     def test_zeroed_flows_match_a_model_without_them(self):
         # copying all shared weights across and silencing the projections must

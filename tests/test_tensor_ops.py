@@ -460,22 +460,18 @@ class TestBilinear:
         x = image([[1.0, 2.0], [3.0, 4.0]])
         assert resize_bilinear(x, 2, 2) is x
 
-    def test_upsample_factor_one_is_identity(self):
-        x = image([[1.0]])
-        assert upsample_bilinear(x, 1) is x
-
     def test_upsample_matches_resize(self):
         rng = np.random.default_rng(11)
         x = t(rng.normal(size=(1, 2, 3, 4)))
         assert np.array_equal(upsample_bilinear(x, 4).data, resize_bilinear(x, 12, 16).data)
 
-    @pytest.mark.parametrize("factor", [0, 3, 5, 32])
+    @pytest.mark.parametrize("factor", [0, 1, 3, 5, 32])
     def test_unsupported_factor_raises(self, factor):
         with pytest.raises(ShapeError):
             upsample_bilinear(image([[1.0]]), factor)
 
     def test_supported_factors(self):
-        assert UPSAMPLE_FACTORS == (1, 2, 4, 8, 16)
+        assert UPSAMPLE_FACTORS == (2, 4, 8, 16)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("in_shape, out_h, out_w", [
