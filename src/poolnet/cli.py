@@ -299,7 +299,11 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    except KeyboardInterrupt:
+    except KeyboardInterrupt as exc:
         # every file a run writes is atomic, so what it left is complete
-        print("interrupted", file=sys.stderr)
+        line = "interrupted"
+        if exc.args:  # train_model's interrupt carries its last checkpoint
+            path = exc.args[0]
+            line += f"; last complete checkpoint {path}, continue with --resume {path}"
+        print(line, file=sys.stderr)
         return 130

@@ -60,6 +60,6 @@ def run_inference(model: SaliencyNet, manifest: Manifest, output_dir) -> list[Pa
                 save_map(values, output_dir / name)
                 written.append(output_dir / name)
         except MemoryError as exc:
-            raise MemoryError(f"{manifest.entries[i][0]}: padded input size {h}x{w}; "
+            raise MemoryError(f"{manifest.entries[i][0]}: padded input size {w}x{h}; "
                               f"maps written before it: {len(written)}; {exc}") from exc
     return written

@@ -6,6 +6,13 @@ computed per image and then averaged.  An empty prediction against non-empty
 ground truth counts as precision 1 (no false positives).  Images whose
 ground truth has no positives are excluded from recall averaging and counted
 in ``PRCurve.empty_gt_count``.
+
+The sweep finds each pixel's bin, its count of thresholds ``t <= s``, without
+a search.  With ``k = rint(255 * s)``, ``|255 * s - k|`` is at most 1/2 (plus
+one rounding of the product), so every threshold below k/255 lies below s
+and every one above it lies above s, each by about 1/510.  The bin is then
+``k + (thresholds[k] <= s)``: the one close comparison is made exactly, so
+pixel s counts at threshold t exactly when ``s >= t``, the rule above.
 """
 
 from __future__ import annotations
@@ -37,9 +44,10 @@ def _as_map(values, role: str) -> np.ndarray:
         raise ShapeError(f"{role} must be a 2-D map, got shape {arr.shape}")
     if arr.size == 0:
         raise ShapeError(f"{role} must not be empty")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{role} values must be finite")
-    if arr.min() < 0 or arr.max() > 1:
+    # NaN and +-inf fail the range test too; isfinite only picks the message
+    if not (arr.min() >= 0 and arr.max() <= 1):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{role} values must be finite")
         raise ValueError(f"{role} values must lie in [0, 1]")
     return arr
 
@@ -50,7 +58,8 @@ def mae(saliency, ground_truth) -> float:
     g = _as_map(ground_truth, "ground truth")
     if s.shape != g.shape:
         raise ShapeError(f"map shapes differ: {s.shape} vs {g.shape}")
-    return float(np.mean(np.abs(s - g)))
+    diff = s - g
+    return float(np.mean(np.abs(diff, out=diff)))
 
 
 @dataclass
@@ -78,9 +87,10 @@ def pr_sweep(pairs) -> PRCurve:
         if s.shape != g.shape:
             raise ShapeError(f"map shapes differ: {s.shape} vs {g.shape}")
         gt = (g >= 0.5).reshape(-1)
-        bins = np.searchsorted(thresholds, s.reshape(-1), side="right")
-        predicted_count = _count_at_or_above(bins)
-        true_positives = _count_at_or_above(bins[gt])
+        bins = _threshold_bins(s.reshape(-1), thresholds)
+        bins += (N_THRESHOLDS + 1) * gt
+        negatives, true_positives = _count_at_or_above(bins)
+        predicted_count = negatives + true_positives
         precision_sum += np.where(predicted_count > 0,
                                   true_positives / np.maximum(predicted_count, 1), 1.0)
         gt_count = int(gt.sum())
@@ -97,14 +107,26 @@ def pr_sweep(pairs) -> PRCurve:
                    empty_gt_count=empty_gt)
 
 
-def _count_at_or_above(bins: np.ndarray) -> np.ndarray:
-    """Per threshold k, how many pixels have s >= thresholds[k].
+def _threshold_bins(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Each value's count of ``thresholds`` at or below it, for values in
+    [0, 1]: k = rint(255 * s), plus one when thresholds[k] <= s (see the
+    module docstring)."""
+    bins = np.rint(values * 255.0).astype(np.intp)
+    bins += thresholds[bins] <= values
+    return bins
 
-    ``bins`` holds each pixel's count of thresholds <= s, so s >= thresholds[k]
-    exactly when its bin is at least k + 1: a reverse cumulative histogram.
+
+def _count_at_or_above(bins: np.ndarray) -> np.ndarray:
+    """Per threshold k, how many ground-truth negatives (row 0) and positives
+    (row 1) have s >= thresholds[k].
+
+    ``bins`` holds each pixel's count of thresholds <= s, plus
+    ``N_THRESHOLDS + 1`` for a positive, so one histogram holds both rows; s
+    >= thresholds[k] exactly when the count is at least k + 1: a reverse
+    cumulative histogram.
     """
-    hist = np.bincount(bins, minlength=N_THRESHOLDS + 1)
-    return np.cumsum(hist[::-1])[-2::-1]
+    hist = np.bincount(bins, minlength=2 * (N_THRESHOLDS + 1)).reshape(2, N_THRESHOLDS + 1)
+    return np.cumsum(hist[:, ::-1], axis=1)[:, -2::-1]
 
 
 def max_f(curve: PRCurve) -> float:
@@ -112,7 +134,14 @@ def max_f(curve: PRCurve) -> float:
     if len(curve.precision) != N_THRESHOLDS or len(curve.recall) != N_THRESHOLDS:
         raise ShapeError(f"expected {N_THRESHOLDS} curve points, got "
                          f"{len(curve.precision)}/{len(curve.recall)}")
-    return max(f_measure(p, r) for p, r in zip(curve.precision, curve.recall))
+    points = np.array([curve.precision, curve.recall], dtype=np.float64)
+    if not ((points >= 0.0) & (points <= 1.0)).all():
+        raise ValueError("precision/recall must lie in [0, 1]")
+    # f_measure's expression, in its order, at all thresholds at once
+    p, r = points
+    denom = BETA2 * p + r
+    f = np.divide((1.0 + BETA2) * p * r, denom, out=np.zeros(N_THRESHOLDS), where=denom != 0.0)
+    return float(f.max())
 
 
 @dataclass
@@ -138,4 +167,5 @@ def write_metrics_csv(record: MetricsRecord, path) -> None:
                      [f"{record.max_f:.6f}", f"{record.mae:.6f}", curve.empty_gt_count],
                      ["threshold", "precision", "recall"],
                      *([f"{t:.6f}", f"{p:.6f}", f"{r:.6f}"]
-                       for t, p, r in zip(curve.thresholds, curve.precision, curve.recall))])
+                       for t, p, r in zip(curve.thresholds.tolist(), curve.precision.tolist(),
+                                          curve.recall.tolist()))])

@@ -274,14 +274,15 @@ class SaliencyNet(Module):
 
 
 def check_input_size(config: ModelConfig, h: int, w: int, name: str = "model input") -> None:
-    """Raise ``ShapeError`` unless the network takes an h x w input."""
+    """Raise ``ShapeError`` unless the network takes an h x w input; the
+    message gives the size as width x height, as ``--size`` takes it."""
     if min(h, w) < 1 or h % PAD_MULTIPLE or w % PAD_MULTIPLE:
-        raise ShapeError(f"{name} size {h}x{w} must be positive multiples of {PAD_MULTIPLE}")
+        raise ShapeError(f"{name} size {w}x{h} must be positive multiples of {PAD_MULTIPLE}")
     if config.enable_ppm:
         # the deepest map (stride 16) must hold the largest pooling grid
         low = 16 * max(config.ppm_sizes)
         if min(h, w) < low:
-            raise ShapeError(f"{name} size {h}x{w} is below the {low}x{low} minimum "
+            raise ShapeError(f"{name} size {w}x{h} is below the {low}x{low} minimum "
                              f"for ppm_sizes {config.ppm_sizes}; use larger images "
                              f"or smaller ppm_sizes")
 

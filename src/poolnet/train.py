@@ -111,7 +111,9 @@ def train_model(model: SaliencyNet, config: TrainConfig, saliency_data: Manifest
 
     With ``output_dir`` set, writes one checkpoint per epoch plus ``final.ckpt``
     and a ``train_log.csv`` of every step.  ``resume_state`` is the state dict
-    returned by checkpoint loading and continues epoch and step counters.
+    returned by checkpoint loading and continues epoch and step counters.  A
+    ``KeyboardInterrupt`` leaves with the last checkpoint written as its one
+    argument, or with none when no checkpoint was written.
     """
     config.validate()
     if saliency_data.kind != "saliency":
@@ -144,45 +146,50 @@ def train_model(model: SaliencyNet, config: TrainConfig, saliency_data: Manifest
     stop = False
     epoch = start_epoch - 1
 
-    for epoch in range(start_epoch, config.epochs):
-        lr = lr_at(epoch, config)
-        optimizer.lr = lr
-        rng = np.random.default_rng([config.seed, _AUGMENT_STREAM, epoch])
-        if config.joint_edge:
-            plan = alternation_schedule(len(saliency_batches), len(edge_batches))
-        else:
-            plan = [("sal", i) for i in range(len(saliency_batches))]
-
-        epoch_complete = True
-        for plan_index, (kind, batch_index) in enumerate(plan):
-            if kind == "sal":
-                x, t = _stack_batch(saliency_data, saliency_batches[batch_index], rng)
+    try:
+        for epoch in range(start_epoch, config.epochs):
+            lr = lr_at(epoch, config)
+            optimizer.lr = lr
+            rng = np.random.default_rng([config.seed, _AUGMENT_STREAM, epoch])
+            if config.joint_edge:
+                plan = alternation_schedule(len(saliency_batches), len(edge_batches))
             else:
-                x, t = _stack_batch(edge_data, edge_batches[batch_index], rng)
-            loss_value = _train_step(model, optimizer, kind, x, t, epoch)
-            records.append(StepRecord(epoch=epoch, step=optimizer.step_count,
-                                      loss_type=kind, loss_value=loss_value, lr=lr))
-            if max_steps is not None and optimizer.step_count >= max_steps:
-                stop = True
-                # a stop on the epoch's last batch still finishes the epoch
-                epoch_complete = plan_index == len(plan) - 1
+                plan = [("sal", i) for i in range(len(saliency_batches))]
+
+            epoch_complete = True
+            for plan_index, (kind, batch_index) in enumerate(plan):
+                if kind == "sal":
+                    x, t = _stack_batch(saliency_data, saliency_batches[batch_index], rng)
+                else:
+                    x, t = _stack_batch(edge_data, edge_batches[batch_index], rng)
+                loss_value = _train_step(model, optimizer, kind, x, t, epoch)
+                records.append(StepRecord(epoch=epoch, step=optimizer.step_count,
+                                          loss_type=kind, loss_value=loss_value, lr=lr))
+                if max_steps is not None and optimizer.step_count >= max_steps:
+                    stop = True
+                    # a stop on the epoch's last batch still finishes the epoch
+                    epoch_complete = plan_index == len(plan) - 1
+                    break
+
+            if output_dir is not None and epoch_complete:
+                path = output_dir / f"epoch_{epoch + 1:03d}.ckpt"
+                _save(path, model, optimizer, epoch)
+                checkpoints.append(path)
+            if stop:
                 break
 
-        if output_dir is not None and epoch_complete:
-            path = output_dir / f"epoch_{epoch + 1:03d}.ckpt"
-            _save(path, model, optimizer, epoch)
-            checkpoints.append(path)
-        if stop:
-            break
-
-    if output_dir is not None:
-        final = output_dir / "final.ckpt"
-        _save(final, model, optimizer, epoch)
-        checkpoints.append(final)
-        write_csv(output_dir / "train_log.csv",
-                  [["epoch", "step", "loss_type", "loss_value", "lr"],
-                   *([r.epoch, r.step, r.loss_type, f"{r.loss_value:.8f}", f"{r.lr:.8g}"]
-                     for r in records)])
+        if output_dir is not None:
+            final = output_dir / "final.ckpt"
+            _save(final, model, optimizer, epoch)
+            checkpoints.append(final)
+            write_csv(output_dir / "train_log.csv",
+                      [["epoch", "step", "loss_type", "loss_value", "lr"],
+                       *([r.epoch, r.step, r.loss_type, f"{r.loss_value:.8f}", f"{r.lr:.8g}"]
+                         for r in records)])
+    except KeyboardInterrupt as exc:
+        # checkpoints are written atomically, so the last one listed is
+        # complete; the interrupt carries it for the caller to name
+        raise KeyboardInterrupt(*checkpoints[-1:]) from exc
     return TrainResult(model=model, steps=records, checkpoints=checkpoints)
 
 

@@ -1,6 +1,6 @@
 """Shared fixtures: finite-difference gradient checking, reference
-convolutions, a reference max pool, a reference bilinear-resize gradient and
-brute-force metric oracles.
+convolutions, a reference max pool, a reference bilinear-resize gradient,
+reference threshold bins and brute-force metric oracles.
 
 The oracles here are deliberately naive (python loops, explicit confusion
 counts) and independent of the library's vectorized implementations; tests
@@ -295,6 +295,18 @@ def oracle_pr_curves(pairs):
         precision.append(sum(precisions) / len(precisions))
         recall.append(sum(recalls) / len(recalls) if recalls else 0.0)
     return precision, recall, empty_gt
+
+
+def reference_threshold_bins(values):
+    """Each value's count of thresholds k/255 at or below it, by binary
+    search, as the sweep found its bins before it computed them directly."""
+    thresholds = np.arange(256, dtype=np.float64) / 255.0
+    return np.searchsorted(thresholds, values, side="right")
+
+
+@pytest.fixture
+def threshold_bins_reference():
+    return reference_threshold_bins
 
 
 def oracle_max_f(precision, recall, beta2: float = 0.3) -> float:

@@ -112,7 +112,8 @@ class TestExitCodes:
                               text=True, timeout=300)
         assert done.returncode == 3, done.stderr
         assert done.stdout == ""
-        assert done.stderr.startswith(f"data error: out of memory: {data / 'large.ppm'}: ")
+        assert done.stderr.startswith(f"data error: out of memory: {data / 'large.ppm'}: "
+                                      "padded input size 3200x2400; maps written before it: 1; ")
         assert done.stderr.count("\n") == 1
         assert (tmp_path / "out" / "small.pgm").is_file()
 
@@ -478,6 +479,29 @@ class TestExitCodes:
         assert main(argv) == 130
         assert capsys.readouterr().err == "interrupted\n"
 
+    def test_interrupt_after_an_epoch_names_the_checkpoint(self, tmp_path, sal_dir,
+                                                           monkeypatch, capsys):
+        # 4 images, batch 1: the fifth step is the first of epoch 2
+        steps = []
+        train_step = poolnet.train._train_step
+
+        def interrupted_in_epoch_2(*args):
+            steps.append(args)
+            if len(steps) == 5:
+                raise KeyboardInterrupt
+            return train_step(*args)
+        monkeypatch.setattr("poolnet.train._train_step", interrupted_in_epoch_2)
+        argv = ["train", "--saliency-manifest", str(sal_dir / "manifest.tsv"),
+                "--output-dir", str(tmp_path), *MICRO_MODEL, *QUICK_TRAIN, "--epochs", "3"]
+        assert main(argv) == 130
+        last = tmp_path / "epoch_001.ckpt"
+        assert capsys.readouterr().err == (f"interrupted; last complete checkpoint {last}, "
+                                           f"continue with --resume {last}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["epoch_001.ckpt"]
+        monkeypatch.undo()
+        assert main([*argv, "--resume", str(last)]) == 0
+        assert (tmp_path / "epoch_003.ckpt").is_file()
+
 
 class TestSettingsTable:
     def test_one_row_per_setting_and_one_flag_per_row(self):
@@ -657,6 +681,28 @@ class TestPipeline:
         rows = list(csv.reader(open(out_csv)))
         assert rows[0] == ["max_f", "mae", "empty_gt_count"]
         assert float(rows[1][0]) == pytest.approx(max_f, abs=5e-7)
+
+    def test_eval_matches_golden(self, tmp_path):
+        # seeded predictions on a synthetic set, one blank prediction and one
+        # empty ground truth; 8-bit maps put every pixel on a threshold k/255
+        data = tmp_path / "data"
+        manifest = data / "manifest.tsv"
+        assert main(["synth", "--kind", "saliency", "--count", "6", "--size", "40",
+                     "--seed", "5", "--output-dir", str(data)]) == 0
+        rng = np.random.default_rng(11)
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for index, (image_path, gt_path) in enumerate(load_manifest(manifest, "saliency").entries):
+            gt = load_map(gt_path)
+            if index == 4:
+                save_map(np.zeros_like(gt), gt_path)
+            values = np.clip(0.6 * gt + rng.uniform(0.0, 0.5, gt.shape), 0.0, 1.0)
+            save_map(np.zeros_like(gt) if index == 2 else values,
+                     pred / f"{image_path.stem}.pgm")
+        out_csv = tmp_path / "metrics.csv"
+        assert main(["eval", "--manifest", str(manifest), "--pred-dir", str(pred),
+                     "--out", str(out_csv)]) == 0
+        assert out_csv.read_bytes() == (DATA_DIR / "eval_metrics.csv").read_bytes()
 
     def test_eval_missing_prediction_is_three(self, tmp_path, sal_dir, capsys):
         (tmp_path / "pred").mkdir()

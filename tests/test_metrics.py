@@ -10,6 +10,8 @@ from poolnet.errors import ShapeError
 from poolnet.metrics import (
     BETA2,
     N_THRESHOLDS,
+    PRCurve,
+    _threshold_bins,
     evaluate_pairs,
     f_measure,
     mae,
@@ -80,6 +82,50 @@ class TestMae:
     def test_non_2d_raises(self):
         with pytest.raises(ShapeError):
             mae(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("pixels,message", [
+        ((0.5, np.nan), "be finite"), ((0.5, np.inf), "be finite"),
+        ((0.5, -np.inf), "be finite"), ((2.0, np.nan), "be finite"),
+        ((0.5, 1.5), "lie in [0, 1]"), ((-0.5, 0.5), "lie in [0, 1]"),
+    ])
+    def test_each_bad_map_names_its_fault(self, pixels, message):
+        # a non-finite pixel beside an out-of-range one still reads as not finite
+        ok, bad = np.zeros((1, 2)), np.array([pixels])
+        for role, call in (("saliency map", lambda: mae(bad, ok)),
+                           ("ground truth", lambda: mae(ok, bad)),
+                           ("saliency map", lambda: pr_sweep([(bad, ok)])),
+                           ("ground truth", lambda: pr_sweep([(ok, bad)]))):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"{role} values must {message}"
+
+
+class TestThresholdBins:
+    def test_match_binary_search_at_every_close_value(self, threshold_bins_reference):
+        thresholds = np.arange(N_THRESHOLDS, dtype=np.float64) / 255.0
+        midpoints = (np.arange(N_THRESHOLDS - 1) + 0.5) / 255.0
+        close = [thresholds, midpoints]
+        for points, steps in ((thresholds, 2), (midpoints, 1)):
+            for direction in (-np.inf, np.inf):
+                near = points
+                for _ in range(steps):
+                    near = np.nextafter(near, direction)
+                    close.append(near)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array([-0.0, 0.0, tiny, 2 * tiny, 1e-310, np.finfo(np.float64).tiny,
+                            1.0 - 2.0 ** -53, 1.0])
+        values = np.concatenate([*close, special])
+        values = values[(values >= 0.0) & (values <= 1.0)]
+        assert np.array_equal(_threshold_bins(values, thresholds),
+                              threshold_bins_reference(values))
+
+    def test_match_binary_search_on_uniform_values(self, threshold_bins_reference):
+        thresholds = np.arange(N_THRESHOLDS, dtype=np.float64) / 255.0
+        rng = np.random.default_rng(255)
+        for _ in range(4):
+            values = rng.random(10**6)
+            assert np.array_equal(_threshold_bins(values, thresholds),
+                                  threshold_bins_reference(values))
 
 
 class TestPrSweep:
@@ -184,6 +230,30 @@ class TestMaxF:
         curve = pr_sweep(pairs)
         best = max(f_measure(p, r) for p, r in zip(curve.precision, curve.recall))
         assert max_f(curve) == best
+
+    def test_equals_the_best_f_measure_exactly(self):
+        # seeded curves, some points with both values zero (a zero
+        # denominator), and one curve that is zero throughout
+        rng = np.random.default_rng(19)
+        for trial in range(40):
+            precision, recall = rng.random(N_THRESHOLDS), rng.random(N_THRESHOLDS)
+            zero = rng.random(N_THRESHOLDS) < 0.2 * (trial % 6)
+            precision[zero] = recall[zero] = 0.0
+            recall[rng.random(N_THRESHOLDS) < 0.1] = 0.0
+            curve = PRCurve(thresholds=np.arange(N_THRESHOLDS) / 255.0, precision=precision,
+                            recall=recall, empty_gt_count=0)
+            best = max(f_measure(p, r) for p, r in zip(precision, recall))
+            assert max_f(curve) == best
+        zeros = np.zeros(N_THRESHOLDS)
+        assert max_f(PRCurve(zeros, zeros, zeros, 0)) == 0.0
+
+    def test_out_of_range_point_raises(self):
+        ones = np.ones(N_THRESHOLDS)
+        for bad in (1.5, -0.1, np.nan):
+            precision = ones.copy()
+            precision[7] = bad
+            with pytest.raises(ValueError, match="must lie in"):
+                max_f(PRCurve(ones, precision, ones, 0))
 
     def test_inverted_prediction_scores_low(self):
         gt = np.zeros((8, 8))

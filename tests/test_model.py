@@ -246,6 +246,14 @@ class TestInputValidation:
         with pytest.raises(ShapeError, match="positive multiples of 16"):
             model(Tensor(np.zeros((1, 3, h, w), dtype=np.float32)))
 
+    def test_sizes_read_width_by_height(self):
+        # as bench --size takes them: 48 wide, 32 tall reads 48x32
+        model = build_model(desk_config(), seed=0)
+        with pytest.raises(ShapeError, match="model input size 48x32 is below the 48x48 minimum"):
+            model(Tensor(np.zeros((1, 3, 32, 48), dtype=np.float32)))
+        with pytest.raises(ShapeError, match="model input size 40x64 must be positive multiples"):
+            model(Tensor(np.zeros((1, 3, 64, 40), dtype=np.float32)))
+
 
 class TestConstruction:
     def test_same_seed_builds_identical_weights(self):
