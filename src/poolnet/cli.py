@@ -210,8 +210,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise DataError(f"missing prediction for {image_path.name}: {pred_path}")
         pred, gt = load_map(pred_path), load_map(gt_path)
         if pred.shape != gt.shape:
-            raise DataError(f"{pred_path}: prediction size {pred.shape[0]}x{pred.shape[1]} "
-                            f"differs from ground truth size {gt.shape[0]}x{gt.shape[1]}")
+            raise DataError(f"{pred_path}: prediction size {pred.shape[1]}x{pred.shape[0]} "
+                            f"differs from ground truth size {gt.shape[1]}x{gt.shape[0]}")
         pairs.append((pred, gt))
     record = evaluate_pairs(pairs)
     write_metrics_csv(record, args.out)

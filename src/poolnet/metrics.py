@@ -26,6 +26,7 @@ from .errors import ShapeError
 
 BETA2 = 0.3
 N_THRESHOLDS = 256
+_THRESHOLDS = np.arange(N_THRESHOLDS, dtype=np.float64) / (N_THRESHOLDS - 1)
 
 
 def f_measure(precision: float, recall: float) -> float:
@@ -76,7 +77,6 @@ def pr_sweep(pairs) -> PRCurve:
     """Threshold sweep over (saliency, ground truth) map pairs."""
     if not pairs:
         raise ValueError("pr_sweep needs at least one (saliency, ground truth) pair")
-    thresholds = np.arange(N_THRESHOLDS, dtype=np.float64) / 255.0
     precision_sum = np.zeros(N_THRESHOLDS)
     recall_sum = np.zeros(N_THRESHOLDS)
     recall_images = 0
@@ -87,7 +87,7 @@ def pr_sweep(pairs) -> PRCurve:
         if s.shape != g.shape:
             raise ShapeError(f"map shapes differ: {s.shape} vs {g.shape}")
         gt = (g >= 0.5).reshape(-1)
-        bins = _threshold_bins(s.reshape(-1), thresholds)
+        bins = _threshold_bins(s.reshape(-1))
         bins += (N_THRESHOLDS + 1) * gt
         negatives, true_positives = _count_at_or_above(bins)
         predicted_count = negatives + true_positives
@@ -101,18 +101,18 @@ def pr_sweep(pairs) -> PRCurve:
         recall_images += 1
     n_images = len(pairs)
     recall = recall_sum / recall_images if recall_images else np.zeros(N_THRESHOLDS)
-    return PRCurve(thresholds=thresholds,
+    return PRCurve(thresholds=_THRESHOLDS.copy(),
                    precision=precision_sum / n_images,
                    recall=recall,
                    empty_gt_count=empty_gt)
 
 
-def _threshold_bins(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Each value's count of ``thresholds`` at or below it, for values in
-    [0, 1]: k = rint(255 * s), plus one when thresholds[k] <= s (see the
-    module docstring)."""
-    bins = np.rint(values * 255.0).astype(np.intp)
-    bins += thresholds[bins] <= values
+def _threshold_bins(values: np.ndarray) -> np.ndarray:
+    """Each value's count of the thresholds k/255 at or below it, for values
+    in [0, 1]: k = rint(255 * s), plus one when k/255 <= s (see the module
+    docstring)."""
+    bins = np.rint(values * (N_THRESHOLDS - 1)).astype(np.intp)
+    bins += _THRESHOLDS[bins] <= values
     return bins
 
 
@@ -134,14 +134,7 @@ def max_f(curve: PRCurve) -> float:
     if len(curve.precision) != N_THRESHOLDS or len(curve.recall) != N_THRESHOLDS:
         raise ShapeError(f"expected {N_THRESHOLDS} curve points, got "
                          f"{len(curve.precision)}/{len(curve.recall)}")
-    points = np.array([curve.precision, curve.recall], dtype=np.float64)
-    if not ((points >= 0.0) & (points <= 1.0)).all():
-        raise ValueError("precision/recall must lie in [0, 1]")
-    # f_measure's expression, in its order, at all thresholds at once
-    p, r = points
-    denom = BETA2 * p + r
-    f = np.divide((1.0 + BETA2) * p * r, denom, out=np.zeros(N_THRESHOLDS), where=denom != 0.0)
-    return float(f.max())
+    return max(f_measure(p, r) for p, r in zip(curve.precision, curve.recall))
 
 
 @dataclass

@@ -112,8 +112,8 @@ def train_model(model: SaliencyNet, config: TrainConfig, saliency_data: Manifest
     With ``output_dir`` set, writes one checkpoint per epoch plus ``final.ckpt``
     and a ``train_log.csv`` of every step.  ``resume_state`` is the state dict
     returned by checkpoint loading and continues epoch and step counters.  A
-    ``KeyboardInterrupt`` leaves with the last checkpoint written as its one
-    argument, or with none when no checkpoint was written.
+    ``KeyboardInterrupt`` during the epochs leaves with the last epoch
+    checkpoint written as its one argument, or with none when none was.
     """
     config.validate()
     if saliency_data.kind != "saliency":
@@ -178,18 +178,19 @@ def train_model(model: SaliencyNet, config: TrainConfig, saliency_data: Manifest
             if stop:
                 break
 
-        if output_dir is not None:
-            final = output_dir / "final.ckpt"
-            _save(final, model, optimizer, epoch)
-            checkpoints.append(final)
-            write_csv(output_dir / "train_log.csv",
-                      [["epoch", "step", "loss_type", "loss_value", "lr"],
-                       *([r.epoch, r.step, r.loss_type, f"{r.loss_value:.8f}", f"{r.lr:.8g}"]
-                         for r in records)])
     except KeyboardInterrupt as exc:
         # checkpoints are written atomically, so the last one listed is
         # complete; the interrupt carries it for the caller to name
         raise KeyboardInterrupt(*checkpoints[-1:]) from exc
+
+    if output_dir is not None:
+        final = output_dir / "final.ckpt"
+        _save(final, model, optimizer, epoch)
+        checkpoints.append(final)
+        write_csv(output_dir / "train_log.csv",
+                  [["epoch", "step", "loss_type", "loss_value", "lr"],
+                   *([r.epoch, r.step, r.loss_type, f"{r.loss_value:.8f}", f"{r.lr:.8g}"]
+                     for r in records)])
     return TrainResult(model=model, steps=records, checkpoints=checkpoints)
 
 

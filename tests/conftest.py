@@ -304,11 +304,6 @@ def reference_threshold_bins(values):
     return np.searchsorted(thresholds, values, side="right")
 
 
-@pytest.fixture
-def threshold_bins_reference():
-    return reference_threshold_bins
-
-
 def oracle_max_f(precision, recall, beta2: float = 0.3) -> float:
     best = 0.0
     for p, r in zip(precision, recall):
@@ -323,4 +318,5 @@ def metric_oracles():
         "mae": oracle_mae,
         "pr_curves": oracle_pr_curves,
         "max_f": oracle_max_f,
+        "threshold_bins": reference_threshold_bins,
     }

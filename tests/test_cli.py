@@ -130,6 +130,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
         assert str(pred / "img_0000.pgm") in err
+        # sizes read width x height: 48 wide, 32 tall against 64 wide, 40 tall
+        (_, gt_path), = load_manifest(data / "manifest.tsv", "saliency").entries
+        save_map(np.zeros((40, 64)), gt_path)
+        save_map(np.zeros((32, 48)), pred / "img_0000.pgm")
+        assert main(["eval", "--manifest", str(data / "manifest.tsv"),
+                     "--pred-dir", str(pred)]) == 3
+        assert capsys.readouterr().err.endswith(
+            ": prediction size 48x32 differs from ground truth size 64x40\n")
 
     def test_bad_thread_cap_is_two(self, monkeypatch, capsys):
         monkeypatch.setenv("POOLNET_THREADS", "-3")
@@ -501,6 +509,18 @@ class TestExitCodes:
         monkeypatch.undo()
         assert main([*argv, "--resume", str(last)]) == 0
         assert (tmp_path / "epoch_003.ckpt").is_file()
+
+    def test_interrupt_after_the_epochs_names_no_checkpoint(self, tmp_path, sal_dir,
+                                                            monkeypatch, capsys):
+        # every epoch is done, so no --resume would train further
+        def interrupted(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("poolnet.train.write_csv", interrupted)
+        argv = ["train", "--saliency-manifest", str(sal_dir / "manifest.tsv"),
+                "--output-dir", str(tmp_path), *MICRO_MODEL, *QUICK_TRAIN]
+        assert main(argv) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        assert (tmp_path / "final.ckpt").is_file()
 
 
 class TestSettingsTable:
