@@ -18,9 +18,9 @@ def predict_sample(model: SaliencyNet,
                    sample: Sample) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Saliency probabilities at the sample's original size, plus the mean of
     the edge side-outputs when the model has an edge branch."""
-    padded = pad_to_multiple(sample)
     with no_grad():
-        out = model(Tensor(padded.image[None]))
+        # the padded float64 sample dies here, before the forward runs
+        out = model(Tensor(pad_to_multiple(sample).image[None]))
         saliency = sigmoid(out.saliency).data[0, 0]
         edge = None
         if out.edges is not None:

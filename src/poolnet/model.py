@@ -81,10 +81,13 @@ class Backbone(Module):
         self.stages = ModuleList(stages)
 
     def forward(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        taps = [self.stages[0](x)]
+        x = self.stages[0](x)
+        taps = []
         for stage in self.stages[1:]:
-            taps.append(stage(max_pool2d(taps[-1])))
-        return tuple(taps[1:])
+            x = max_pool2d(x)  # the stage-0 map dies here, before stage 1 runs
+            x = stage(x)
+            taps.append(x)
+        return tuple(taps)
 
 
 class PyramidPooling(Module):
@@ -147,9 +150,9 @@ class FeatureAggregation(Module):
         _, _, h, w = x.shape
         acc = x
         for rate, conv in zip(self.rates, self.branch_convs):
-            padded = pad_replicate2d(x, (-h) % rate, (-w) % rate)
-            branch = upsample_bilinear(relu(conv(avg_pool2d(padded, rate))), rate)
-            acc = add(acc, crop2d(branch, h, w))
+            # nothing binds a branch's full-size maps, so each dies in its add
+            pooled = avg_pool2d(pad_replicate2d(x, (-h) % rate, (-w) % rate), rate)
+            acc = add(acc, crop2d(upsample_bilinear(relu(conv(pooled)), rate), h, w))
         return relu(self.fuse(acc))
 
 
@@ -243,11 +246,13 @@ class SaliencyNet(Module):
             raise ShapeError(f"model input must be (batch, 3, height, width), got {x.shape}")
         check_input_size(self.config, *x.shape[2:])
 
-        c2, c3, c4, c5 = self.backbone(x)
+        # each tap (c2, c3, c4, c5) is popped by its one reader and out5 is
+        # never bound, so without a graph neither outlives its use
+        taps = list(self.backbone(x))
         if self.config.enable_ppm:
-            top = self.pyramid_pool(c5)
+            top = self.pyramid_pool(taps.pop())
         else:
-            top = self.lateral5(c5)
+            top = self.lateral5(taps.pop())
 
         def guided(merged: Tensor, index: int) -> Tensor:
             # guidance index 0..3 targets levels 5, 4, 3, 2
@@ -258,10 +263,10 @@ class SaliencyNet(Module):
         def topdown(lateral: Tensor, deeper: Tensor) -> Tensor:
             return add(lateral, resize_bilinear(deeper, *lateral.shape[2:]))
 
-        out5 = guided(top, 0)
-        out4 = self.merge4(guided(topdown(self.lateral4(c4), self.topdown4(out5)), 1))
-        out3 = self.merge3(guided(topdown(self.lateral3(c3), self.topdown3(out4)), 2))
-        out2 = self.merge2(guided(topdown(self.lateral2(c2), self.topdown2(out3)), 3))
+        out4 = self.merge4(guided(topdown(self.lateral4(taps.pop()),
+                                          self.topdown4(guided(top, 0))), 1))
+        out3 = self.merge3(guided(topdown(self.lateral3(taps.pop()), self.topdown3(out4)), 2))
+        out2 = self.merge2(guided(topdown(self.lateral2(taps.pop()), self.topdown2(out3)), 3))
 
         if self.config.enable_edge:
             edge_feats, edge_sides = self.edge([out2, out3, out4], x)

@@ -12,18 +12,19 @@ both d_weight and d_input, so at batch 1 no operand is transposed.
 
 The conv forward has one loop: it builds that patch matrix for one band of
 output rows at a time, across the whole batch, and GEMMs each band into its
-slice of one preallocated output.  So a layer's whole patch matrix (70 MB
-for the 16->16 conv at 304x400) never exists, and each band is still in
-cache when its GEMM reads it.  Every output column is its own dot product
-over c*k*k, so in float32 a band gives the bits of the whole GEMM as long
-as BLAS runs the same kernel on both.  Below about 1e6 multiply-adds
-OpenBLAS's sgemm switches to a small-matrix kernel that rounds differently,
-so no band's GEMM may fall under a 2e6 floor; a layer whose whole GEMM is
-under it is one band, and so still one GEMM.  In float64, the
-gradient-check mode, bands need not keep the bits: those of the 64->64 conv
-at 76x100 and the 128->128 conv at 38x50 round differently from one GEMM,
-in the forward and in d_x.  Gradient checks compare at a tolerance, so
-nothing rests on those bits.
+slice of one preallocated output.  Each band copies its own input rows into
+a zero border (``_pad_rows``), so neither a layer's whole patch matrix (70
+MB for the 16->16 conv at 304x400) nor its whole padded input (7.5 MB)
+exists, and each band is still in cache when its GEMM reads it.  Every
+output column is its own dot product over c*k*k, so in float32 a band gives
+the bits of the whole GEMM as long as BLAS runs the same kernel on both.
+Below about 1e6 multiply-adds OpenBLAS's sgemm switches to a small-matrix
+kernel that rounds differently, so no band's GEMM may fall under a 2e6
+floor; a layer whose whole GEMM is under it is one band, and so still one
+GEMM.  In float64, the gradient-check mode, bands need not keep the bits:
+those of the 64->64 conv at 76x100 and the 128->128 conv at 38x50 round
+differently from one GEMM, in the forward and in d_x.  Gradient checks
+compare at a tolerance, so nothing rests on those bits.
 
 The VJP splits its GEMMs by that same floor.  d_x runs the d_cols GEMM on
 one forward band of the output gradient's rows at a time, so each GEMM has a
@@ -36,10 +37,10 @@ kernel tap (i, j), the output gradient times the input shifted by that tap,
 as kn2row does (Vasudevan, Anderson & Gregg, ASAP 2017), and otherwise one
 GEMM over the whole patch matrix.  A tap splits the one GEMM's output
 columns, never its reduction, so each element keeps its dot product, as each
-forward band does.  The VJP re-pads the input from its data with the
-forward's zero border (``_pad``) rather than keep a padded copy, and drops
-it before d_x's buffer exists.  The 16->16 conv's VJP at 304x400 peaks at
-16 MB instead of 74.
+forward band does.  Only the VJP pads the whole input (``_pad``), from its
+data rather than from a copy kept since the forward, and drops it before
+d_x's buffer exists.  The 16->16 conv's VJP at 304x400 peaks at 16 MB
+instead of 74.
 
 ``max_pool2d`` is the backbone's 2 x 2 pool.  It walks each block's four
 strided taps in row-major order under ``np.argmax``'s first-maximum,
@@ -246,12 +247,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     pad = k // 2
 
     x_data, w_shape = x.data, weight.shape
-    xp = _pad(x_data, pad)
     w2 = weight.data.reshape(out_c, -1)
-    edges = _band_edges(out_c, w2.shape[1], h, w, xp.itemsize)
-    out = np.empty((out_c, n, h, w), dtype=np.result_type(xp, w2))
+    edges = _band_edges(out_c, w2.shape[1], h, w, x_data.itemsize)
+    out = np.empty((out_c, n, h, w), dtype=np.result_type(x_data, w2))
     for r0, r1 in zip(edges[:-1], edges[1:]):
-        cols = _im2col(xp[:, :, r0:r1 + k - 1], k, r1 - r0, w)
+        cols = _im2col(_pad_rows(x_data, pad, r0, r1), k, r1 - r0, w)
         out[:, :, r0:r1] = np.dot(w2, cols).reshape(out_c, n, r1 - r0, w)
     out += bias.data[:, None, None, None]
     # decided at record time: an input with no lineage, such as the image,
@@ -301,6 +301,18 @@ def _pad(a: np.ndarray, padding: int) -> np.ndarray:
     n, c, h, w = a.shape
     out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=a.dtype)
     out[:, :, padding:padding + h, padding:padding + w] = a
+    return out
+
+
+def _pad_rows(a: np.ndarray, padding: int, r0: int, r1: int) -> np.ndarray:
+    """Rows ``r0 .. r1 + 2 * padding`` of ``_pad(a, padding)``, built from ``a``'s
+    own rows ``r0 - padding .. r1 + padding`` and a zero border."""
+    if not padding:
+        return a[:, :, r0:r1]
+    n, c, h, w = a.shape
+    out = np.zeros((n, c, r1 - r0 + 2 * padding, w + 2 * padding), dtype=a.dtype)
+    lo, hi = max(r0 - padding, 0), min(r1 + padding, h)
+    out[:, :, lo - r0 + padding:hi - r0 + padding, padding:padding + w] = a[:, :, lo:hi]
     return out
 
 
@@ -509,6 +521,7 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     tmp -= rows_lo
     tmp *= fy[:, None]
     tmp += rows_lo
+    del rows_lo
     left = np.take(tmp, c0, axis=3)
     out = np.take(tmp, c1, axis=3)
     out -= left

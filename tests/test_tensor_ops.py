@@ -22,6 +22,8 @@ from poolnet.tensor import (
     Tensor,
     _BAND_MIN_MACS,
     _band_edges,
+    _pad,
+    _pad_rows,
     add,
     adaptive_avg_pool2d,
     avg_pool2d,
@@ -42,6 +44,14 @@ from poolnet.tensor import (
     sigmoid,
     upsample_bilinear,
 )
+
+
+# the models and sizes whose every conv shape the banded-forward tests run
+MODEL_CONV_RUNS = [
+    pytest.param(ModelConfig(), (304, 400), id="default-304x400"),
+    pytest.param(ModelConfig(enable_edge=True), (304, 400), id="edge-304x400"),
+    pytest.param(ModelConfig(ppm_sizes=(2, 3)), (64, 64), id="ppm23-64x64"),
+]
 
 
 def t(values, requires_grad=False, dtype=np.float64):
@@ -175,11 +185,7 @@ class TestConv2d:
         want = conv_forward_reference(x.data, weight.data, bias.data)
         assert out.data.tobytes() == np.ascontiguousarray(want).tobytes()
 
-    @pytest.mark.parametrize("config, size", [
-        (ModelConfig(), (304, 400)),
-        (ModelConfig(enable_edge=True), (304, 400)),
-        (ModelConfig(ppm_sizes=(2, 3)), (64, 64)),
-    ], ids=["default-304x400", "edge-304x400", "ppm23-64x64"])
+    @pytest.mark.parametrize("config, size", MODEL_CONV_RUNS)
     def test_banded_forward_matches_one_gemm_on_model_shapes(
             self, conv_forward_reference, monkeypatch, config, size):
         outcome = {}
@@ -200,12 +206,38 @@ class TestConv2d:
         assert len(outcome) >= 20
         assert [key for key, same in outcome.items() if not same] == []
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("config, size", MODEL_CONV_RUNS)
+    def test_band_border_is_the_padded_rows(self, monkeypatch, config, size, dtype):
+        # every band the forward runs on these shapes builds the same bytes
+        # as the rows of the whole padded input
+        bands, differ = 0, []
+
+        def checked_conv2d(x, weight, bias):
+            nonlocal bands
+            out_c, c, k, _ = weight.shape
+            whole = _pad(x.data, k // 2)
+            edges = _band_edges(out_c, c * k * k, *x.shape[2:], x.data.itemsize)
+            for r0, r1 in zip(edges[:-1], edges[1:]):
+                got, want = _pad_rows(x.data, k // 2, r0, r1), whole[:, :, r0:r1 + k - 1]
+                bands += 1
+                if got.shape != want.shape or got.tobytes() != want.tobytes():
+                    differ.append((x.shape, weight.shape, r0, r1))
+            return conv2d(x, weight, bias)
+
+        monkeypatch.setattr(poolnet.nn, "conv2d", checked_conv2d)
+        with default_dtype(dtype):
+            model = build_model(config, seed=0)
+            with no_grad():
+                model(Tensor(np.random.default_rng(0).random((1, 3) + size)))
+        assert bands >= 40
+        assert differ == []
+
     def test_forward_holds_no_whole_patch_matrix(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.standard_normal((1, 16, 304, 400)), dtype=np.float32)
         weight = Tensor(rng.standard_normal((16, 16, 3, 3)), dtype=np.float32)
         bias = Tensor(np.zeros(16), dtype=np.float32)
-        padded_bytes = 16 * 306 * 402 * 4
         tracemalloc.start()
         try:
             with no_grad():
@@ -213,8 +245,9 @@ class TestConv2d:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the whole patch matrix would be 9x the input: 70 MB here
-        assert peak < out.data.nbytes + padded_bytes + 4 * 2**20
+        # the whole patch matrix would be 9x the input (70 MB here), and the
+        # whole padded input 7.5 MB; each band pads only its own rows
+        assert peak < out.data.nbytes + 4 * 2**20
 
     def test_recorded_conv_keeps_no_padded_copy(self):
         rng = np.random.default_rng(9)
